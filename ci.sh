@@ -24,7 +24,7 @@ step "cargo fetch" cargo fetch
 
 step "cargo build --release" cargo build --release
 
-step "cargo test -q" cargo test -q
+step "cargo test --workspace -q" cargo test --workspace -q
 
 step "chaos smoke (seeds 0..32)" \
     cargo run --release --quiet --bin chaos -- --seeds 0..32

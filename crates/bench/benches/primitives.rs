@@ -25,6 +25,14 @@ fn bench_codec(c: &mut Criterion) {
     group.bench_function("lz_compress_random_page", |b| {
         b.iter(|| lz::compress(std::hint::black_box(&incompressible)))
     });
+    // The page codec's budgeted path: what every tier put pays on a memo
+    // miss (a random page is rejected, a 3x page fits a sub-4K class).
+    group.bench_function("page_compress_3x", |b| {
+        b.iter(|| codec.compress(std::hint::black_box(&compressible)))
+    });
+    group.bench_function("page_compress_random", |b| {
+        b.iter(|| codec.compress(std::hint::black_box(&incompressible)))
+    });
     let stored = codec.compress(&compressible);
     group.bench_function("lz_decompress_3x_page", |b| {
         b.iter(|| codec.decompress(std::hint::black_box(&stored)).unwrap())
@@ -65,19 +73,34 @@ fn bench_tiers(c: &mut Criterion) {
     let page = synth::page_with_ratio(2.5, &mut rng);
 
     group.throughput(Throughput::Bytes(PAGE_SIZE as u64));
+    // Cold: every put is a key the store has never seen, so it pays a
+    // memo miss and a full codec run (and the first one carves a slab).
     let mut key = 0u64;
-    group.bench_function("put_shared", |b| {
+    group.bench_function("put_shared_cold", |b| {
         b.iter_batched(
             || {
                 key += 1;
                 (key, page.clone())
             },
             |(k, p)| {
-                dm.put_pref(server, k % 256, p, TierPreference::NodeShared)
+                dm.put_pref(server, 100_000 + k, p, TierPreference::NodeShared)
                     .unwrap()
             },
             BatchSize::SmallInput,
         )
+    });
+    // Warm: the 256 keys already hold these bytes, so each put is a memo
+    // hit overwriting a live entry (the routine includes one 4 KiB clone).
+    for k in 0..256 {
+        dm.put_pref(server, k, page.clone(), TierPreference::NodeShared)
+            .unwrap();
+    }
+    group.bench_function("put_shared_warm", |b| {
+        b.iter(|| {
+            key += 1;
+            dm.put_pref(server, key % 256, page.clone(), TierPreference::NodeShared)
+                .unwrap()
+        })
     });
     group.bench_function("put_remote_replicated", |b| {
         b.iter_batched(

@@ -26,10 +26,10 @@ const MAX_OFFSET: usize = u16::MAX as usize;
 const HASH_BITS: u32 = 12;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 
+/// Multiplicative hash of a 4-byte prefix `v` down to `bits` bits.
 #[inline]
-fn hash4(window: &[u8]) -> usize {
-    let v = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
-    (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+fn hash4(v: u32, bits: u32) -> usize {
+    (v.wrapping_mul(2654435761) >> (32 - bits)) as usize
 }
 
 #[inline]
@@ -57,22 +57,52 @@ fn match_len(input: &[u8], a: usize, b: usize, limit: usize) -> usize {
     len
 }
 
+/// Bits of the pre-scan's 4-gram hash: a 2^16-bit (8 KiB) seen-set.
+const NOVEL_HASH_BITS: u32 = 16;
+/// Positions per pre-scan block (between its exit checks).
+const NOVEL_BLOCK: usize = 32;
+
+/// Matcher and pre-scan state reused across calls.
+struct Scratch {
+    /// `head[h]` = most recent position with hash `h`, or `NONE`.
+    head: Vec<u32>,
+    /// `prev[i]` = previous position in the chain of position `i`.
+    prev: Vec<u32>,
+    /// Seen-set of 16-bit 4-gram hashes for [`provably_longer`].
+    seen: SeenSet,
+}
+
+/// Words of the pre-scan's seen-set.
+const SEEN_WORDS: usize = 1 << (NOVEL_HASH_BITS - 6);
+
+/// A 2^16-bit set, one bit per 16-bit hash.
+type SeenSet = [u64; SEEN_WORDS];
+
+/// Empty hash-chain link.
+const NONE: u32 = u32::MAX;
+
 std::thread_local! {
-    // Matcher state reused across calls: head[h] = most recent position
-    // with hash h; prev[i] = previous position in the chain for position
-    // i. `head` is reset per call; `prev[x]` is only ever read for
-    // positions inserted during the same call (chains start at `head`),
-    // so stale entries from earlier inputs are unreachable and `prev`
-    // only needs resizing, not clearing.
-    static SCRATCH: std::cell::RefCell<(Vec<usize>, Vec<usize>)> =
-        std::cell::RefCell::new((Vec::new(), Vec::new()));
+    // `head` is reset per call; `prev[x]` is only ever read for positions
+    // inserted during the same call (chains start at `head`), so stale
+    // entries from earlier inputs are unreachable and `prev` only needs
+    // resizing, not clearing. Positions are held as `u32`, which halves
+    // the per-call `head` reset (16 KiB) and the matcher's cache
+    // footprint.
+    static SCRATCH: std::cell::RefCell<Scratch> = const {
+        std::cell::RefCell::new(Scratch {
+            head: Vec::new(),
+            prev: Vec::new(),
+            seen: [0; SEEN_WORDS],
+        })
+    };
 }
 
 /// Compresses `input`, returning the token stream.
 ///
 /// The output may be longer than the input for incompressible data;
 /// callers that need a bound should compare lengths and keep the raw
-/// bytes instead (as [`crate::PageCodec`] does).
+/// bytes instead (as [`crate::PageCodec`] does). Inputs of 4 GiB or more
+/// panic (see [`compress_within`]).
 ///
 /// # Examples
 ///
@@ -110,24 +140,87 @@ pub fn compress_into(input: &[u8], out: &mut Vec<u8>) {
 /// raw") use this to stop paying the matcher for incompressible input;
 /// the accept/reject decision is exactly that of running [`compress`] to
 /// completion and comparing lengths.
+///
+/// Two bounds prove a stream too long. Before matching, a pre-scan
+/// counts *novel* positions, whose 4-gram occurs nowhere earlier in the
+/// input; when there are more than `max_len` of them the input is
+/// rejected without running the matcher (see [`provably_longer`]).
+/// During matching, emitted bytes plus pending literals bound the final
+/// length from below.
+///
+/// # Panics
+///
+/// Panics if `input` is 4 GiB or longer: chain positions are `u32`.
 pub fn compress_within(input: &[u8], max_len: usize, out: &mut Vec<u8>) -> bool {
     out.clear();
+    assert!(input.len() < NONE as usize, "LZ input of {} bytes exceeds 4 GiB", input.len());
     SCRATCH.with(|scratch| {
-        let (head, prev) = &mut *scratch.borrow_mut();
-        head.clear();
-        head.resize(HASH_SIZE, usize::MAX);
-        if prev.len() < input.len() {
-            prev.resize(input.len(), usize::MAX);
+        let scratch = &mut *scratch.borrow_mut();
+        if provably_longer(input, max_len, &mut scratch.seen) {
+            return false;
         }
-        compress_with(input, out, head, prev, max_len)
+        scratch.head.clear();
+        scratch.head.resize(HASH_SIZE, NONE);
+        if scratch.prev.len() < input.len() {
+            scratch.prev.resize(input.len(), NONE);
+        }
+        compress_with(input, out, &mut scratch.head, &mut scratch.prev, max_len)
     })
+}
+
+/// `true` when the token stream of `input` is provably longer than
+/// `max_len` bytes, counted from its novel positions alone.
+///
+/// A position `p` is novel when the 16-bit hash of `input[p..p + 4]` is
+/// not yet in `seen`, so that 4-gram occurs at no earlier position. No
+/// match can start at `p`, and a match starting at `s < p` can cover `p`
+/// only in its last three bytes (otherwise `input[p..p + 4]` would lie
+/// inside the match and repeat earlier). So every novel position is a
+/// literal, costing at least its own byte, or a tail byte of a match
+/// token, whose three bytes pay for at most three novel positions: the
+/// stream is at least as long as the novel count. Hash collisions only
+/// hide novel positions, so the bound stays sound.
+///
+/// The scan works in blocks of [`NOVEL_BLOCK`] positions and gives
+/// up, answering `false`, once even an all-novel remainder could not push
+/// the count past `max_len`, or as soon as a block is mostly repeats —
+/// content the matcher will compress, so proving the bound is unlikely
+/// and the rest of the scan would be wasted. Giving up only hands the
+/// decision to the matcher, which is exact on its own.
+fn provably_longer(input: &[u8], max_len: usize, seen: &mut SeenSet) -> bool {
+    let positions = input.len().saturating_sub(MIN_MATCH - 1);
+    if positions <= max_len {
+        return false;
+    }
+    seen.fill(0);
+    let mut novel = 0usize;
+    let mut p = 0usize;
+    while novel + (positions - p) > max_len {
+        let end = (p + NOVEL_BLOCK).min(positions);
+        let block_start = novel;
+        for q in p..end {
+            let h = hash4(read_u32(input, q), NOVEL_HASH_BITS);
+            let word = &mut seen[h >> 6];
+            let marked = *word | 1 << (h & 63);
+            novel += usize::from(marked != *word);
+            *word = marked;
+        }
+        if novel > max_len {
+            return true;
+        }
+        if (novel - block_start) * 4 < end - p {
+            return false;
+        }
+        p = end;
+    }
+    false
 }
 
 fn compress_with(
     input: &[u8],
     out: &mut Vec<u8>,
-    head: &mut [usize],
-    prev: &mut [usize],
+    head: &mut [u32],
+    prev: &mut [u32],
     max_len: usize,
 ) -> bool {
     let mut literal_start = 0usize;
@@ -151,25 +244,26 @@ fn compress_with(
         if out.len() + (i - literal_start) > max_len {
             return false;
         }
-        let h = hash4(&input[i..]);
         // Walk the chain looking for the longest match.
         let cur4 = read_u32(input, i);
+        let h = hash4(cur4, HASH_BITS);
         let mut best_len = 0usize;
-        let mut best_pos = usize::MAX;
+        let mut best_pos = 0usize;
         let mut candidate = head[h];
         let mut probes = 16; // bounded effort per position
-        while candidate != usize::MAX && probes > 0 {
-            if i - candidate <= MAX_OFFSET {
+        while candidate != NONE && probes > 0 {
+            let cand = candidate as usize;
+            if i - cand <= MAX_OFFSET {
                 // An accepted match needs at least MIN_MATCH = 4 leading
                 // bytes; a candidate failing the 4-byte probe could only
                 // score a sub-minimum length, which never changes the
                 // emitted stream — skip its byte scan.
-                if read_u32(input, candidate) == cur4 {
+                if read_u32(input, cand) == cur4 {
                     let limit = (input.len() - i).min(MAX_MATCH);
-                    let len = match_len(input, candidate, i, limit);
+                    let len = match_len(input, cand, i, limit);
                     if len > best_len {
                         best_len = len;
-                        best_pos = candidate;
+                        best_pos = cand;
                         if len == limit {
                             break;
                         }
@@ -178,7 +272,7 @@ fn compress_with(
             } else {
                 break; // chains are position-ordered; older is farther
             }
-            candidate = prev[candidate];
+            candidate = prev[cand];
             probes -= 1;
         }
 
@@ -190,16 +284,16 @@ fn compress_with(
             // Insert the covered positions into the hash chains so later
             // matches can reference them.
             let end = (i + best_len).min(input.len().saturating_sub(MIN_MATCH - 1));
-            for p in i..end {
-                let hp = hash4(&input[p..]);
-                prev[p] = head[hp];
-                head[hp] = p;
+            for (p, link) in (i..end).zip(&mut prev[i..end]) {
+                let hp = hash4(read_u32(input, p), HASH_BITS);
+                *link = head[hp];
+                head[hp] = p as u32;
             }
             i += best_len;
             literal_start = i;
         } else {
             prev[i] = head[h];
-            head[h] = i;
+            head[h] = i as u32;
             i += 1;
         }
     }
@@ -318,6 +412,7 @@ pub fn decompress_into(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn roundtrip(data: &[u8]) -> Vec<u8> {
         decompress(&compress(data), data.len()).expect("roundtrip")
@@ -356,6 +451,61 @@ mod tests {
         assert!(compress(&page).len() > 2048, "noise page must overflow");
         let mut bounded = Vec::new();
         assert!(!compress_within(&page, 2048, &mut bounded));
+        // The rejection comes from the pre-scan, before any matching.
+        assert!(provably_longer(&page, 2048, &mut [0; SEEN_WORDS]));
+    }
+
+    /// Novel-position count by definition: positions whose 4-gram hash
+    /// occurs at no earlier position.
+    fn novel_positions(input: &[u8]) -> usize {
+        let mut seen = std::collections::HashSet::new();
+        input
+            .windows(MIN_MATCH)
+            .filter(|w| seen.insert(hash4(read_u32(w, 0), NOVEL_HASH_BITS)))
+            .count()
+    }
+
+    /// `compress_within` agrees exactly with a full run at every budget.
+    fn assert_within_exact(input: &[u8]) -> Result<(), TestCaseError> {
+        let full = compress(input);
+        let mut out = Vec::new();
+        for budget in [0, 512, 1024, 2048, 3072, input.len(), usize::MAX] {
+            let fits = compress_within(input, budget, &mut out);
+            prop_assert_eq!(fits, full.len() <= budget, "budget {}", budget);
+            if fits {
+                prop_assert_eq!(&out, &full, "budget {}", budget);
+            }
+        }
+        Ok(())
+    }
+
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        use rand::{RngCore, SeedableRng};
+        let mut page = vec![0u8; len];
+        rand::rngs::SmallRng::seed_from_u64(seed).fill_bytes(&mut page);
+        page
+    }
+
+    #[test]
+    fn novel_count_at_budget_is_not_a_proof() {
+        // 1 KiB of noise, then the same bytes again: the second half
+        // repeats every 4-gram, so only the first half (and the three
+        // 4-grams straddling the seam) can be novel.
+        let mut input = noise(5, 1024);
+        input.extend_from_within(..);
+        let novel = novel_positions(&input);
+        assert!(novel > 900 && novel <= 1024, "novel = {novel}");
+        let full = compress(&input).len();
+        assert!(novel <= full, "novel count {novel} bounds the stream {full}");
+
+        let mut seen = [0; SEEN_WORDS];
+        assert!(!provably_longer(&input, novel, &mut seen), "count == budget");
+        assert!(provably_longer(&input, novel - 1, &mut seen), "count == budget + 1");
+        let mut out = Vec::new();
+        for budget in [novel - 1, novel, novel + 1, full - 1, full] {
+            assert_eq!(compress_within(&input, budget, &mut out), full <= budget, "budget {budget}");
+        }
+        assert_eq!(out, compress(&input));
     }
 
     #[test]
@@ -466,6 +616,46 @@ mod tests {
         fn prop_roundtrip_structured(motif in proptest::collection::vec(any::<u8>(), 1..32), reps in 1usize..256) {
             let data: Vec<u8> = motif.iter().cycle().take(motif.len() * reps).copied().collect();
             prop_assert_eq!(roundtrip(&data), data);
+        }
+
+        #[test]
+        fn prop_within_exact_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
+            assert_within_exact(&data)?;
+        }
+
+        #[test]
+        fn prop_within_exact_motif(
+            motif in proptest::collection::vec(any::<u8>(), 1..64),
+            len in 0usize..=4096,
+            seed in any::<u64>(),
+            flips in 0usize..1024,
+        ) {
+            // A repeated motif with `flips` noise bytes sprinkled in spans
+            // everything from highly compressible to incompressible.
+            let mut data: Vec<u8> = motif.iter().cycle().take(len).copied().collect();
+            let noise = noise(seed, flips * 2);
+            for pair in noise.chunks(2) {
+                if !data.is_empty() {
+                    let at = usize::from(u16::from_le_bytes([pair[0], pair[1]])) % data.len();
+                    data[at] = pair[0];
+                }
+            }
+            assert_within_exact(&data)?;
+        }
+
+        #[test]
+        fn prop_within_exact_f64_records(seed in any::<u64>(), records in 0usize..=256, spread in 0u32..64) {
+            // (u64 key, f64 value) records: sequential keys, values drawn
+            // from a range whose width sets how many mantissa bits vary.
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut data = Vec::with_capacity(records * 16);
+            for key in 0..records as u64 {
+                let value = 100.0 + rng.gen_range(0..(1u64 << spread)) as f64 / 1024.0;
+                data.extend_from_slice(&key.to_le_bytes());
+                data.extend_from_slice(&value.to_le_bytes());
+            }
+            assert_within_exact(&data)?;
         }
 
         #[test]

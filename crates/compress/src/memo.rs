@@ -15,16 +15,24 @@
 //! loop (fig4) and the RDD get path (fig10), decompression dominated the
 //! real CPU profile before this.
 //!
-//! **Soundness.** A compress hit is only taken when the stored original
+//! **Layout.** Each memoized page is one reference-counted record that
+//! both directions share: the compress side finds it by key, the
+//! decompress side by checksum. A raw (incompressible) page is held once,
+//! because its stored bytes *are* the original; a compressed page holds
+//! its stream plus the original bytes. [`CompressMemo::get_or_decompress`]
+//! takes the stored page by value, so a raw hit hands the caller's own
+//! bytes back without a copy.
+//!
+//! **Soundness.** A compress hit is only taken when the record's original
 //! bytes are equal to the incoming page (a 4 KiB `memcmp`, far cheaper
 //! than the matcher), so the memo is transparent even for callers whose
 //! values mutate under a key (the chaos harness, KV overwrites): changed
-//! bytes miss and replace the entry. A decompress hit requires the whole
+//! bytes miss and replace the record. A decompress hit requires the whole
 //! `CompressedPage` (stream bytes, class, lengths, checksum) to equal one
 //! that previously decoded successfully; decompression is a pure
 //! function, so equal inputs are guaranteed the equal — already
 //! checksum-verified — output, and corrupted streams can never match a
-//! good entry. Simulated compression/decompression *cost* is charged by
+//! good record. Simulated compression/decompression *cost* is charged by
 //! the caller exactly as before — the memo elides real CPU work, never
 //! virtual time — so completion times and CSV outputs are bit-identical
 //! with or without it.
@@ -33,18 +41,35 @@ use crate::codec::{CompressedPage, PageCodec};
 use dmem_types::DmemResult;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Default capacity: covers the bench working sets (the fig10 RDD spill
-/// set peaks around 7.5k live pages) at roughly 8 KiB per entry (original
-/// + compressed copy) ≈ 128 MiB per direction worst case. Sized with
+/// set peaks around 7.5k live pages). A record costs about 4 KiB for a
+/// raw page and up to 6 KiB (original plus a stream of at most 2 KiB)
+/// for a compressed one, so a full direction holds 64-96 MiB; the two
+/// directions share a record whenever they hold the same page. Sized with
 /// headroom: a FIFO memo smaller than a sequentially-scanned working set
 /// degrades to a 0% hit rate.
 pub const DEFAULT_MEMO_CAPACITY: usize = 16384;
 
+/// One memoized page, shared by both directions.
 #[derive(Debug)]
-struct MemoEntry {
-    original: Vec<u8>,
+struct MemoRecord {
     page: CompressedPage,
+    /// Original bytes of a compressed page; `None` for a raw page, whose
+    /// original is `page.data`.
+    original: Option<Vec<u8>>,
+}
+
+impl MemoRecord {
+    fn new(page: CompressedPage, original: &[u8]) -> Arc<Self> {
+        let original = page.is_compressed.then(|| original.to_vec());
+        Arc::new(MemoRecord { page, original })
+    }
+
+    fn original(&self) -> &[u8] {
+        self.original.as_deref().unwrap_or(&self.page.data)
+    }
 }
 
 /// Aggregate hit/miss counters of a [`CompressMemo`].
@@ -82,15 +107,17 @@ pub struct MemoStats {
 /// let b = memo.get_or_compress((0, 1), &codec, &page);
 /// assert_eq!(a, b);
 /// assert_eq!(memo.stats().hits, 1);
+/// assert_eq!(memo.get_or_decompress(&codec, b).unwrap(), page);
+/// assert_eq!(memo.stats().decompress_hits, 1);
 /// ```
 #[derive(Debug)]
 pub struct CompressMemo {
-    map: HashMap<(u64, u64), MemoEntry>,
+    map: HashMap<(u64, u64), Arc<MemoRecord>>,
     order: VecDeque<(u64, u64)>,
     /// Decompress direction, keyed by the original page's checksum (the
     /// one field present in both the compressed and decompressed form);
     /// a hit additionally requires full `CompressedPage` equality.
-    decomp: HashMap<u64, MemoEntry>,
+    decomp: HashMap<u64, Arc<MemoRecord>>,
     decomp_order: VecDeque<u64>,
     capacity: usize,
     stats: MemoStats,
@@ -145,49 +172,37 @@ impl CompressMemo {
             self.stats.misses += 1;
             return codec.compress(data);
         }
-        match self.map.entry(key) {
-            Entry::Occupied(mut occupied) => {
-                if occupied.get().original == data {
-                    self.stats.hits += 1;
-                    return occupied.get().page.clone();
-                }
-                // Same key, new bytes (a versioned overwrite): recompress
-                // and replace in place, keeping the FIFO position.
-                self.stats.misses += 1;
-                let page = codec.compress(data);
-                let entry = occupied.get_mut();
-                entry.original.clear();
-                entry.original.extend_from_slice(data);
-                entry.page = page.clone();
-                self.remember_decompressed(page.clone(), data.to_vec());
-                page
-            }
-            Entry::Vacant(vacant) => {
-                self.stats.misses += 1;
-                let page = codec.compress(data);
-                vacant.insert(MemoEntry {
-                    original: data.to_vec(),
-                    page: page.clone(),
-                });
-                self.order.push_back(key);
-                while self.map.len() > self.capacity {
-                    if let Some(victim) = self.order.pop_front() {
-                        self.map.remove(&victim);
-                    } else {
-                        break;
-                    }
-                }
-                self.remember_decompressed(page.clone(), data.to_vec());
-                page
+        if let Some(record) = self.map.get(&key) {
+            if record.original() == data {
+                self.stats.hits += 1;
+                return record.page.clone();
             }
         }
+        self.stats.misses += 1;
+        let page = codec.compress(data);
+        let record = MemoRecord::new(page.clone(), data);
+        // Same key, new bytes (a versioned overwrite) replaces the record
+        // in place, keeping the FIFO position.
+        if self.map.insert(key, Arc::clone(&record)).is_none() {
+            self.order.push_back(key);
+            while self.map.len() > self.capacity {
+                if let Some(victim) = self.order.pop_front() {
+                    self.map.remove(&victim);
+                } else {
+                    break;
+                }
+            }
+        }
+        self.remember_decompressed(record);
+        page
     }
 
     /// Returns the original bytes of `stored`, reusing the cached result
     /// when an identical `CompressedPage` was compressed or decoded
     /// before, and running `codec.decompress` otherwise. Decompression is
     /// a pure function, so the result (including checksum verification)
-    /// is identical to `codec.decompress(stored)` in every case.
+    /// is identical to `codec.decompress(&stored)` in every case. A raw
+    /// page that hits is returned as its own `data`, without a copy.
     ///
     /// # Errors
     ///
@@ -197,40 +212,40 @@ impl CompressMemo {
     pub fn get_or_decompress(
         &mut self,
         codec: &PageCodec,
-        stored: &CompressedPage,
+        stored: CompressedPage,
     ) -> DmemResult<Vec<u8>> {
         if self.capacity == 0 {
             self.stats.decompress_misses += 1;
-            return codec.decompress(stored);
+            return codec.decompress(&stored);
         }
-        if let Some(entry) = self.decomp.get(&stored.checksum) {
-            if entry.page == *stored {
+        if let Some(record) = self.decomp.get(&stored.checksum) {
+            if record.page == stored {
                 self.stats.decompress_hits += 1;
-                return Ok(entry.original.clone());
+                return Ok(match &record.original {
+                    Some(original) => original.clone(),
+                    None => stored.data,
+                });
             }
         }
         self.stats.decompress_misses += 1;
-        let original = codec.decompress(stored)?;
-        self.remember_decompressed(stored.clone(), original.clone());
+        let original = codec.decompress(&stored)?;
+        self.remember_decompressed(MemoRecord::new(stored, &original));
         Ok(original)
     }
 
     /// Records a known (compressed, original) pair on the decompress
     /// side. Compressing seeds this too, so the first read of a freshly
     /// written entry is already a hit.
-    fn remember_decompressed(&mut self, page: CompressedPage, original: Vec<u8>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let key = page.checksum;
+    fn remember_decompressed(&mut self, record: Arc<MemoRecord>) {
+        let key = record.page.checksum;
         match self.decomp.entry(key) {
             Entry::Occupied(mut occupied) => {
                 // Checksum collision or re-learned pair: replace in
                 // place, keeping the FIFO position.
-                *occupied.get_mut() = MemoEntry { original, page };
+                *occupied.get_mut() = record;
             }
             Entry::Vacant(vacant) => {
-                vacant.insert(MemoEntry { original, page });
+                vacant.insert(record);
                 self.decomp_order.push_back(key);
                 while self.decomp.len() > self.capacity {
                     if let Some(victim) = self.decomp_order.pop_front() {
@@ -316,6 +331,11 @@ mod tests {
         assert!(memo.is_empty());
         assert_eq!(memo.stats().hits, 0);
         assert_eq!(memo.stats().misses, 2);
+        // Compressing seeded nothing on the decompress side either.
+        let stored = memo.get_or_compress((0, 1), &codec, &page);
+        assert_eq!(memo.get_or_decompress(&codec, stored).unwrap(), page);
+        assert_eq!(memo.stats().decompress_hits, 0);
+        assert_eq!(memo.stats().decompress_misses, 1);
     }
 
     #[test]
@@ -327,7 +347,7 @@ mod tests {
             let page = synth::page_around_ratio(3.0, 0.5, &mut rng);
             let stored = codec.compress(&page);
             for _ in 0..3 {
-                assert_eq!(memo.get_or_decompress(&codec, &stored).unwrap(), page);
+                assert_eq!(memo.get_or_decompress(&codec, stored.clone()).unwrap(), page);
             }
         }
         let stats = memo.stats();
@@ -341,7 +361,7 @@ mod tests {
         let mut memo = CompressMemo::new(8);
         let page = vec![6u8; 4096];
         let stored = memo.get_or_compress((0, 1), &codec, &page);
-        assert_eq!(memo.get_or_decompress(&codec, &stored).unwrap(), page);
+        assert_eq!(memo.get_or_decompress(&codec, stored).unwrap(), page);
         assert_eq!(memo.stats().decompress_hits, 1, "first read must hit");
         assert_eq!(memo.stats().decompress_misses, 0);
     }
@@ -354,7 +374,7 @@ mod tests {
         let mut stored = memo.get_or_compress((0, 1), &codec, &page);
         assert!(stored.is_compressed);
         stored.data[0] ^= 0xFF;
-        assert!(memo.get_or_decompress(&codec, &stored).is_err());
+        assert!(memo.get_or_decompress(&codec, stored).is_err());
     }
 
     #[test]
@@ -362,10 +382,68 @@ mod tests {
         let codec = codec();
         let mut memo = CompressMemo::new(0);
         let stored = codec.compress(&vec![4u8; 4096]);
-        memo.get_or_decompress(&codec, &stored).unwrap();
-        memo.get_or_decompress(&codec, &stored).unwrap();
+        memo.get_or_decompress(&codec, stored.clone()).unwrap();
+        memo.get_or_decompress(&codec, stored).unwrap();
         assert_eq!(memo.stats().decompress_hits, 0);
         assert_eq!(memo.stats().decompress_misses, 2);
+    }
+
+    fn raw_page() -> Vec<u8> {
+        use rand::RngCore;
+        let mut page = vec![0u8; 4096];
+        rand::rngs::SmallRng::seed_from_u64(17).fill_bytes(&mut page);
+        page
+    }
+
+    #[test]
+    fn raw_page_decompresses_by_value_and_hits() {
+        let codec = codec();
+        let mut memo = CompressMemo::new(8);
+        let page = raw_page();
+        let stored = memo.get_or_compress((0, 1), &codec, &page);
+        assert!(!stored.is_compressed, "noise page must be stored raw");
+        assert_eq!(memo.get_or_decompress(&codec, stored.clone()).unwrap(), page);
+        assert_eq!(memo.get_or_decompress(&codec, stored).unwrap(), page);
+        assert_eq!(memo.stats().decompress_hits, 2);
+        assert_eq!(memo.stats().decompress_misses, 0);
+    }
+
+    #[test]
+    fn raw_page_with_flipped_byte_misses_and_is_corrupt() {
+        let codec = codec();
+        let mut memo = CompressMemo::new(8);
+        let mut stored = memo.get_or_compress((0, 1), &codec, &raw_page());
+        assert!(!stored.is_compressed);
+        // Same checksum field, one flipped data byte.
+        stored.data[1234] ^= 0x01;
+        assert!(matches!(
+            memo.get_or_decompress(&codec, stored),
+            Err(dmem_types::DmemError::Corrupt(_))
+        ));
+        assert_eq!(memo.stats().decompress_hits, 0);
+        assert_eq!(memo.stats().decompress_misses, 1);
+    }
+
+    #[test]
+    fn changed_bytes_replace_the_record_in_both_directions() {
+        let codec = codec();
+        let mut memo = CompressMemo::new(8);
+        let old = raw_page();
+        let new = vec![9u8; 4096];
+        memo.get_or_compress((0, 7), &codec, &old);
+        let stored = memo.get_or_compress((0, 7), &codec, &new);
+        assert_eq!(memo.len(), 1, "replaced in place");
+        // Compress side: the new bytes hit, the old ones miss.
+        assert_eq!(memo.get_or_compress((0, 7), &codec, &new), stored);
+        assert_eq!(memo.stats().hits, 1);
+        memo.get_or_compress((0, 7), &codec, &new);
+        assert_eq!(memo.stats().hits, 2);
+        // Decompress side: the new stream is already known.
+        assert_eq!(memo.get_or_decompress(&codec, stored).unwrap(), new);
+        assert_eq!(memo.stats().decompress_hits, 1);
+        assert_eq!(memo.stats().decompress_misses, 0);
+        memo.get_or_compress((0, 7), &codec, &old);
+        assert_eq!(memo.stats().misses, 3, "old bytes no longer cached under the key");
     }
 
     #[test]

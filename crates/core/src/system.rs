@@ -577,38 +577,29 @@ impl DisaggregatedMemory {
     }
 
     fn recover(&self, record: &EntryRecord, stored: Vec<u8>) -> DmemResult<Vec<u8>> {
-        if let Some(class) = record.class {
-            let span = self.clock.tracer().span("compress", "decompress");
-            span.tag("bytes", record.len);
-            self.clock.advance(self.cost.decompress_page);
-            drop(span);
-            let page = CompressedPage {
-                data: stored,
-                class,
-                original_len: record.len as usize,
-                is_compressed: true,
-                checksum: record.checksum,
-            };
-            self.compress_memo
-                .lock()
-                .get_or_decompress(&self.codec, &page)
-        } else {
+        let class = match record.class {
+            Some(class) => {
+                let span = self.clock.tracer().span("compress", "decompress");
+                span.tag("bytes", record.len);
+                self.clock.advance(self.cost.decompress_page);
+                class
+            }
             // Raw entries verify the same way via the memo: a previously
             // verified identical blob is confirmed with a vectorized
-            // `memcmp` instead of re-walking the byte-serial FNV — this
-            // is the hot path for incompressible pages (random payloads
-            // of the RDD and chaos workloads).
-            let page = CompressedPage {
-                data: stored,
-                class: SizeClass::C4K,
-                original_len: record.len as usize,
-                is_compressed: false,
-                checksum: record.checksum,
-            };
-            self.compress_memo
-                .lock()
-                .get_or_decompress(&self.codec, &page)
-        }
+            // `memcmp` instead of re-walking the byte-serial FNV, and
+            // handed back without a copy — this is the hot path for
+            // incompressible pages (random payloads of the RDD and chaos
+            // workloads).
+            None => SizeClass::C4K,
+        };
+        let page = CompressedPage {
+            data: stored,
+            class,
+            original_len: record.len as usize,
+            is_compressed: record.class.is_some(),
+            checksum: record.checksum,
+        };
+        self.compress_memo.lock().get_or_decompress(&self.codec, page)
     }
 
     fn drop_location(&self, entry: EntryId, record: &EntryRecord) {

@@ -9,7 +9,7 @@
 //! compression-ratio accounting physical.
 
 use dmem_types::{ByteSize, DmemError, DmemResult, SizeClass, SlabId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A reference to an allocated block: slab plus byte offset.
@@ -76,11 +76,18 @@ impl PoolStats {
 ///
 /// Purely an allocator plus storage: time costs are charged by
 /// [`crate::NodeManager`], and eviction policy lives with the caller.
+///
+/// Allocation is deterministic: a block of a class always comes from the
+/// lowest-id slab of that class with a free block, so which slab fills,
+/// empties and is released depends only on the sequence of calls.
 #[derive(Debug)]
 pub struct SharedMemoryPool {
     slab_size: usize,
     capacity: ByteSize,
-    slabs: HashMap<SlabId, Slab>,
+    slabs: BTreeMap<SlabId, Slab>,
+    /// Per size class (indexed by `class as usize`), the slabs that have
+    /// a free block.
+    open: [BTreeSet<SlabId>; SizeClass::ALL.len()],
     next_slab: u64,
     live_blocks: usize,
 }
@@ -100,7 +107,8 @@ impl SharedMemoryPool {
         SharedMemoryPool {
             slab_size: slab_size.as_usize(),
             capacity,
-            slabs: HashMap::new(),
+            slabs: BTreeMap::new(),
+            open: Default::default(),
             next_slab: 1,
             live_blocks: 0,
         }
@@ -131,18 +139,16 @@ impl SharedMemoryPool {
                 reason: format!("{} bytes do not fit class {class}", data.len()),
             });
         }
-        // Find a slab of this class with a free block.
-        let slab_id = self
-            .slabs
-            .iter()
-            .find(|(_, s)| s.class == class && !s.free.is_empty())
-            .map(|(id, _)| *id);
-        let slab_id = match slab_id {
-            Some(id) => id,
+        // The lowest-id slab of this class with a free block.
+        let slab_id = match self.open[class as usize].first() {
+            Some(&id) => id,
             None => self.carve_slab(class)?,
         };
         let slab = self.slabs.get_mut(&slab_id).expect("slab exists");
         let index = slab.free.pop().expect("slab has a free block");
+        if slab.free.is_empty() {
+            self.open[class as usize].remove(&slab_id);
+        }
         let offset = index as u64 * slab.block_size() as u64;
         let start = offset as usize;
         let block_size = slab.block_size();
@@ -167,6 +173,7 @@ impl SharedMemoryPool {
         let id = SlabId::new(self.next_slab);
         self.next_slab += 1;
         self.slabs.insert(id, Slab::new(class, self.slab_size));
+        self.open[class as usize].insert(id);
         Ok(id)
     }
 
@@ -208,8 +215,12 @@ impl SharedMemoryPool {
         slab.free.push(index);
         slab.live -= 1;
         self.live_blocks -= 1;
+        let open = &mut self.open[slab.class as usize];
         if slab.live == 0 {
+            open.remove(&block.slab);
             self.slabs.remove(&block.slab);
+        } else {
+            open.insert(block.slab);
         }
         Ok(())
     }
@@ -233,9 +244,7 @@ impl SharedMemoryPool {
 
     /// `true` if a block of `class` could be allocated right now.
     pub fn can_fit(&self, class: SizeClass) -> bool {
-        self.slabs
-            .values()
-            .any(|s| s.class == class && !s.free.is_empty())
+        !self.open[class as usize].is_empty()
             || (self.slabs.len() + 1) * self.slab_size <= self.capacity.as_u64() as usize
     }
 }
@@ -312,6 +321,22 @@ mod tests {
     }
 
     #[test]
+    fn alloc_takes_lowest_id_slab_with_a_hole() {
+        let mut p = pool(64);
+        // Two full 4 KiB-class slabs (4 blocks each), then one hole in each.
+        let blocks: Vec<_> = (0..8)
+            .map(|_| p.alloc(SizeClass::C4K, b"x").unwrap())
+            .collect();
+        let (low, high) = (blocks[1], blocks[5]);
+        assert!(low.slab < high.slab);
+        p.free(high).unwrap();
+        p.free(low).unwrap();
+        assert_eq!(p.alloc(SizeClass::C4K, b"y").unwrap(), low);
+        assert_eq!(p.alloc(SizeClass::C4K, b"z").unwrap(), high);
+        assert!(p.can_fit(SizeClass::C4K), "room for a third slab");
+    }
+
+    #[test]
     fn free_releases_and_reclaims_slab() {
         let mut p = pool(16);
         let b = p.alloc(SizeClass::C4K, b"x").unwrap();
@@ -382,6 +407,12 @@ mod tests {
                     p.free(b).unwrap();
                 }
                 prop_assert_eq!(p.stats().live_blocks, live.len());
+                for (id, slab) in &p.slabs {
+                    let open = p.open[slab.class as usize].contains(id);
+                    prop_assert_eq!(open, !slab.free.is_empty(), "slab {:?}", id);
+                }
+                prop_assert_eq!(p.open.iter().map(|o| o.len()).sum::<usize>(),
+                    p.slabs.values().filter(|s| !s.free.is_empty()).count());
                 prop_assert!(p.stats().slab_bytes <= ByteSize::from_kib(256));
             }
             for (b, len) in &live {

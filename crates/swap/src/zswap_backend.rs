@@ -68,7 +68,7 @@ impl SwapBackend for ZswapBackend {
                     for (victim_pfn, victim) in evicted {
                         // Writeback decompresses and writes the raw page.
                         self.clock.advance(self.cost.decompress_page);
-                        let raw = self.memo.get_or_decompress(&self.codec, &victim)?;
+                        let raw = self.memo.get_or_decompress(&self.codec, victim)?;
                         self.disk.store(self.server.node(), self.entry(victim_pfn), raw);
                     }
                 }
@@ -92,7 +92,7 @@ impl SwapBackend for ZswapBackend {
                 // Pool hit: DRAM access plus decompression.
                 self.clock.advance(self.cost.dram.transfer(stored.data.len()));
                 self.clock.advance(self.cost.decompress_page);
-                out.push(self.memo.get_or_decompress(&self.codec, &stored)?);
+                out.push(self.memo.get_or_decompress(&self.codec, stored)?);
             } else {
                 span.tag("tier", "disk");
                 out.push(self.disk.load(self.server.node(), self.entry(*pfn))?);
