@@ -85,14 +85,19 @@ step "chaos shard determinism (--shards 1 vs 4, byte-diff)" sh -c '
 '
 
 # Sharded-engine determinism gate, rack side: the rack-scale smoke must
-# be byte-identical at 1 vs 4 worker threads (same logical shards,
-# different parallelism) AND match the committed golden CSV.
-step "fig4_rack smoke determinism (workers 1 vs 4 + golden CSV)" sh -c '
+# be byte-identical at 1 vs 4 vs 8 worker threads (same logical shards,
+# different parallelism) AND match the committed golden CSV. Eight
+# workers outnumber the cores of a typical CI runner, so that run takes
+# the engine's blocking (no-spin) barrier path.
+step "fig4_rack smoke determinism (workers 1 vs 4 vs 8 + golden CSV)" sh -c '
     cargo run --release --quiet -p dmem-bench --bin fig4_rack -- --smoke --shards 1 \
         > target/fig4_rack_smoke_1.txt
     cargo run --release --quiet -p dmem-bench --bin fig4_rack -- --smoke --shards 4 \
         > target/fig4_rack_smoke_4.txt
+    cargo run --release --quiet -p dmem-bench --bin fig4_rack -- --smoke --shards 8 \
+        > target/fig4_rack_smoke_8.txt
     diff target/fig4_rack_smoke_1.txt target/fig4_rack_smoke_4.txt
+    diff target/fig4_rack_smoke_1.txt target/fig4_rack_smoke_8.txt
     git diff --exit-code -- results/fig4_rack_smoke.csv
 '
 

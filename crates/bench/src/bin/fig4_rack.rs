@@ -16,9 +16,10 @@
 //! * `--shards N` — worker-thread count (the scenario's logical shard
 //!   partition is fixed by its config; this only fans it across threads);
 //! * `--perf` — wall-clock scaling measurement at 1 vs 4 workers,
-//!   written to `results/BENCH_rack.json`; on a 4+ core machine the
-//!   4-worker run must be ≥ 2x faster (exit 1 otherwise; skipped with a
-//!   note on smaller machines);
+//!   written to `results/BENCH_rack.json`, with each worker thread's
+//!   busy / barrier-wait / routing split on stderr; on a 4+ core machine
+//!   the 4-worker run must be ≥ 2x faster (exit 1 otherwise; skipped
+//!   with a note on smaller machines);
 //! * `--check BASELINE` — with `--perf`: fail on a > 3x wall-clock
 //!   regression against the named baseline JSON;
 //! * `--trace-out FILE` — write the merged shard trace (JSONL) of the
@@ -26,7 +27,8 @@
 //! * `--timeline-out FILE` — write the merged per-window metric timeline
 //!   (CSV) of the last run.
 
-use memory_disaggregation::rack::{run_rack, RackConfig, RackReport};
+use memory_disaggregation::rack::{run_rack_timed, RackConfig, RackReport};
+use memory_disaggregation::sim::EngineTiming;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -77,11 +79,38 @@ const HEADER: &[&str] = &[
     "digest",
 ];
 
-/// Times one run, returning the report and wall milliseconds.
-fn timed(config: &RackConfig, workers: usize) -> (RackReport, f64) {
+/// Times one run, returning the report, the engine's per-worker
+/// host-time split and wall milliseconds.
+fn timed(config: &RackConfig, workers: usize) -> (RackReport, EngineTiming, f64) {
     let t0 = Instant::now();
-    let report = run_rack(config, workers);
-    (report, t0.elapsed().as_secs_f64() * 1e3)
+    let (report, timing) = run_rack_timed(config, workers);
+    (report, timing, t0.elapsed().as_secs_f64() * 1e3)
+}
+
+/// Prints each worker thread's busy / barrier-wait / routing split.
+fn print_split(timing: &EngineTiming) {
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let wall = timing.wall_ns.max(1) as f64;
+    eprintln!(
+        "rack perf: workers={} engine {:.1} ms, barrier {}",
+        timing.workers.len(),
+        ms(timing.wall_ns),
+        if timing.spinning {
+            "spin-then-block"
+        } else {
+            "block"
+        },
+    );
+    for (i, w) in timing.workers.iter().enumerate() {
+        eprintln!(
+            "  worker {i}: busy {:.1} ms ({:.0}%), wait {:.1} ms, route {:.1} ms, {} shard-epochs",
+            ms(w.busy_ns),
+            w.busy_ns as f64 * 100.0 / wall,
+            ms(w.wait_ns),
+            ms(w.route_ns),
+            w.shard_epochs,
+        );
+    }
 }
 
 fn perf_mode(workers_hi: usize, check: Option<&str>) -> i32 {
@@ -91,11 +120,12 @@ fn perf_mode(workers_hi: usize, check: Option<&str>) -> i32 {
         c
     };
     // Best of two per worker level: absorbs one-off scheduler noise.
-    let (base, w1a) = timed(&config, 1);
-    let (_, w1b) = timed(&config, 1);
-    let (hi, wna) = timed(&config, workers_hi);
-    let (_, wnb) = timed(&config, workers_hi);
-    let (wall1, walln) = (w1a.min(w1b), wna.min(wnb));
+    let (base, t1a, w1a) = timed(&config, 1);
+    let (_, t1b, w1b) = timed(&config, 1);
+    let (hi, tna, wna) = timed(&config, workers_hi);
+    let (_, tnb, wnb) = timed(&config, workers_hi);
+    let (wall1, split1) = if w1a <= w1b { (w1a, t1a) } else { (w1b, t1b) };
+    let (walln, splitn) = if wna <= wnb { (wna, tna) } else { (wnb, tnb) };
     assert_eq!(
         base.csv_row(),
         hi.csv_row(),
@@ -105,6 +135,8 @@ fn perf_mode(workers_hi: usize, check: Option<&str>) -> i32 {
     eprintln!(
         "rack perf: workers=1 {wall1:.1} ms, workers={workers_hi} {walln:.1} ms ({ratio:.2}x)"
     );
+    print_split(&split1);
+    print_split(&splitn);
 
     let mut json = String::from("[\n");
     let _ = writeln!(
@@ -237,7 +269,7 @@ fn main() {
 
     let mut last: Option<RackReport> = None;
     for config in &configs {
-        let (report, wall_ms) = timed(config, workers);
+        let (report, _, wall_ms) = timed(config, workers);
         eprintln!(
             "fig4_rack: {} hosts / {} shards done in {wall_ms:.1} ms (workers={workers})",
             report.hosts, report.shards

@@ -16,6 +16,7 @@
 //! * [`metrics`] — counters, gauges and log-bucket histograms.
 //! * [`events`] — a small discrete-event queue for timers (heartbeats,
 //!   re-replication, eviction scans).
+//! * [`inthash`] — a fixed integer hasher for hot page-keyed maps.
 //! * [`trace`] — deterministic virtual-clock spans, time attribution and
 //!   Chrome-trace/Perfetto + JSONL exporters.
 //! * [`timeseries`] — windowed counter/histogram sampling on the virtual
@@ -49,6 +50,7 @@ pub mod cost;
 pub mod events;
 pub mod failure;
 pub mod flight;
+pub mod inthash;
 pub mod jsonlite;
 pub mod metrics;
 pub mod rng;
@@ -64,14 +66,15 @@ pub use clock::{ShardClock, SimClock};
 pub use cost::{CostModel, DeviceCost};
 pub use events::EventQueue;
 pub use failure::{FailureEvent, FailureInjector};
+pub use inthash::{IntHasher, IntMap};
 pub use metrics::{
     AllocCounterSet, AllocTelemetry, Counter, Gauge, Histogram, HistogramSummary, LocalMetrics,
     MetricsRegistry,
 };
 pub use rng::{splitmix64, DetRng};
 pub use shard::{
-    merge_envelopes, shard_rng, EngineReport, Envelope, EpochCtx, ShardId, ShardMap, ShardWorker,
-    ShardedEngine,
+    merge_envelopes, shard_rng, EngineReport, EngineTiming, Envelope, EpochCtx, ShardId, ShardMap,
+    ShardWorker, ShardedEngine, WorkerTiming,
 };
 pub use time::{SimDuration, SimInstant};
 pub use timeseries::{

@@ -389,7 +389,7 @@ impl fmt::Display for MetricsRegistry {
 /// An unsynchronized per-shard metrics buffer.
 ///
 /// Shards of the sharded engine record into a private `LocalMetrics`
-/// (plain integer adds, no atomics, no locks) and the coordinator merges
+/// (plain integer adds, no atomics, no locks) and the caller merges
 /// the buffers in shard order after the run — so the published totals,
 /// like everything else in the engine, are independent of the worker
 /// count. Name iteration is `BTreeMap`-ordered, hence deterministic.
@@ -429,6 +429,13 @@ impl Default for LocalHistogram {
     }
 }
 
+impl LocalHistogram {
+    fn observe(&mut self, value: u64) {
+        self.buckets[Histogram::bucket_index(value)] += 1;
+        self.sum += value;
+    }
+}
+
 impl LocalMetrics {
     /// Creates an empty buffer.
     pub fn new() -> Self {
@@ -450,11 +457,17 @@ impl LocalMetrics {
     }
 
     /// Records one observation into the histogram named `name`, using
-    /// the same bucket edges as the shared [`Histogram`].
+    /// the same bucket edges as the shared [`Histogram`]. Like
+    /// [`add`](LocalMetrics::add), it allocates the name only on first
+    /// use.
     pub fn record(&mut self, name: &str, value: u64) {
-        let h = self.histograms.entry(name.to_owned()).or_default();
-        h.buckets[Histogram::bucket_index(value)] += 1;
-        h.sum += value;
+        if let Some(h) = self.histograms.get_mut(name) {
+            h.observe(value);
+        } else {
+            let mut h = LocalHistogram::default();
+            h.observe(value);
+            self.histograms.insert(name.to_owned(), h);
+        }
     }
 
     /// Current value of the counter named `name` (zero if absent).
@@ -719,6 +732,37 @@ mod tests {
         assert_eq!(a.bucket_counts(), b.bucket_counts());
         assert_eq!(a.sum(), b.sum());
         assert_eq!(a.summary(), b.summary());
+    }
+
+    #[test]
+    fn local_metrics_repeated_record_accumulates_in_place() {
+        // Many observations on one name (the path that now skips the
+        // name allocation) land exactly as on the shared histogram:
+        // same buckets, sum and quantiles.
+        let mut local = LocalMetrics::new();
+        let shared = Histogram::new();
+        for i in 0..2000u64 {
+            let v = (i * 7919) % 50_000;
+            local.record("fault_ns", v);
+            shared.record(v);
+        }
+        local.record("other", 5);
+        let mut buckets = None;
+        local.for_each_histogram(|name, counts| {
+            if name == "fault_ns" {
+                buckets = Some(*counts);
+            }
+        });
+        assert_eq!(buckets, Some(shared.bucket_counts()));
+        assert_eq!(local.histogram_count("fault_ns"), 2000);
+        assert_eq!(
+            local.histogram_mean("fault_ns"),
+            shared.sum() as f64 / 2000.0
+        );
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(local.quantile("fault_ns", q), shared.quantile(q), "q={q}");
+        }
+        assert_eq!(local.histogram_count("other"), 1);
     }
 
     #[test]

@@ -306,7 +306,7 @@ fn window_from_local(index: u64, start_ns: u64, end_ns: u64, delta: &LocalMetric
 /// The shard calls [`ShardSampler::tick`] from its deterministic local
 /// event loop (event times are worker-count independent, so capture
 /// points are too) and [`ShardSampler::finish`] once at quiescence; the
-/// coordinator then merges every shard's windows with
+/// caller then merges every shard's windows with
 /// [`Timeline::merge_shards`]. A `window` of zero disables the sampler
 /// entirely — ticks return immediately and no windows are kept.
 #[derive(Debug, Clone)]

@@ -302,7 +302,7 @@ pub struct ShardTraceEvent {
 ///
 /// The shared [`Tracer`] hangs off the atomic [`SimClock`], which shards
 /// do not use; instead each shard samples events into its own
-/// `ShardEventLog` (plain pushes, no locks) and the coordinator merges
+/// `ShardEventLog` (plain pushes, no locks) and the caller merges
 /// the logs under the same `(time, shard, seq)` order as the mailboxes —
 /// so the exported trace, like every other output, is byte-identical at
 /// every worker count.

@@ -27,12 +27,11 @@
 
 use dmem_cluster::spread_replicas;
 use dmem_net::{HostOutage, ShardFaultSchedule};
-use dmem_sim::shard::{shard_rng, EngineReport, EpochCtx, ShardWorker, ShardedEngine};
+use dmem_sim::shard::{shard_rng, EngineTiming, EpochCtx, ShardWorker, ShardedEngine};
 use dmem_sim::{
-    splitmix64, CostModel, DetRng, EventQueue, FlightRecorder, LocalMetrics, ShardClock,
+    splitmix64, CostModel, DetRng, EventQueue, FlightRecorder, IntMap, LocalMetrics, ShardClock,
     ShardEventLog, ShardId, ShardMap, ShardSampler, SimDuration, SimInstant, Timeline,
 };
-use std::collections::HashMap;
 use std::fmt;
 
 /// Configuration of one rack-scale run. All fields shape the *scenario*;
@@ -223,14 +222,14 @@ struct Frame {
 struct HostState {
     rng: DetRng,
     /// Resident pages (global ids) with their version + dirty bit.
-    frames: HashMap<u64, Frame>,
+    frames: IntMap<u64, Frame>,
     /// FIFO eviction order of resident pages.
     fifo: std::collections::VecDeque<u64>,
     /// Lower bound a read of each page must satisfy (raised only after
     /// all replicas acked the writeback).
-    expected: HashMap<u64, u32>,
+    expected: IntMap<u64, u32>,
     /// Writebacks awaiting replica acks: (page, version) → acks left.
-    pending_writes: HashMap<(u64, u32), usize>,
+    pending_writes: IntMap<(u64, u32), usize>,
     /// Replica hosts currently suspected unreachable.
     suspects: Vec<usize>,
     /// The fault currently in flight (one outstanding per host).
@@ -247,10 +246,12 @@ struct RackShard {
     cost: CostModel,
     clock: ShardClock,
     queue: EventQueue<LocalEvent>,
-    /// Host id → state, for hosts this shard owns.
-    hosts: HashMap<usize, HostState>,
+    /// First host this shard owns; `hosts[i]` is host `first_host + i`.
+    first_host: usize,
+    /// State of the shard's contiguous host range.
+    hosts: Vec<HostState>,
     /// Replica memory hosted here: (host, page) → version.
-    store: HashMap<(usize, u64), u32>,
+    store: IntMap<(usize, u64), u32>,
     /// Outage windows of this shard's hosts.
     outages: Vec<HostOutage>,
     metrics: LocalMetrics,
@@ -260,6 +261,7 @@ struct RackShard {
 
 impl RackShard {
     fn new(shard: ShardId, cfg: &RackConfig, map: &ShardMap, outages: Vec<HostOutage>) -> Self {
+        let owned = map.hosts_of(shard);
         let mut rack = RackShard {
             shard,
             cfg: cfg.clone(),
@@ -267,8 +269,9 @@ impl RackShard {
             cost: CostModel::paper_default(),
             clock: ShardClock::new(),
             queue: EventQueue::new(),
-            hosts: HashMap::new(),
-            store: HashMap::new(),
+            first_host: owned.start,
+            hosts: Vec::with_capacity(owned.len()),
+            store: IntMap::default(),
             outages,
             metrics: LocalMetrics::new(),
             log: ShardEventLog::new(shard.0, cfg.trace_sample),
@@ -277,26 +280,28 @@ impl RackShard {
         // The shard owns its hosts' streams: all derive from the shard's
         // own (root_seed, shard_id)-split stream, never from a shared one.
         let stream = shard_rng(cfg.seed, shard);
-        for host in map.hosts_of(shard) {
+        for host in owned {
             let mut rng = stream.fork_indexed("rack.host", host as u64);
             let kickoff = SimInstant::from_nanos(rng.below(2_000) as u64);
-            rack.hosts.insert(
-                host,
-                HostState {
-                    rng,
-                    frames: HashMap::new(),
-                    fifo: std::collections::VecDeque::new(),
-                    expected: HashMap::new(),
-                    pending_writes: HashMap::new(),
-                    suspects: Vec::new(),
-                    inflight: None,
-                    issued: 0,
-                    done: false,
-                },
-            );
+            rack.hosts.push(HostState {
+                rng,
+                frames: IntMap::default(),
+                fifo: std::collections::VecDeque::new(),
+                expected: IntMap::default(),
+                pending_writes: IntMap::default(),
+                suspects: Vec::new(),
+                inflight: None,
+                issued: 0,
+                done: false,
+            });
             rack.queue.schedule(kickoff, LocalEvent::Access { host });
         }
         rack
+    }
+
+    /// State of `host`, which this shard must own.
+    fn host_mut(&mut self, host: usize) -> &mut HostState {
+        &mut self.hosts[host - self.first_host]
     }
 
     /// Whether `host` (owned by this shard) is inside an outage window.
@@ -339,7 +344,7 @@ impl RackShard {
     ) -> bool {
         let replicas = self.replicas_of(page, host);
         let chosen = {
-            let state = self.hosts.get_mut(&host).expect("host owned by shard");
+            let state = self.host_mut(host);
             let idx =
                 (from_idx..replicas.len()).find(|&i| !state.suspects.contains(&replicas[i]));
             if idx.is_some() {
@@ -377,8 +382,9 @@ impl RackShard {
         let (hot_fraction, hot_weight) = (self.cfg.hot_fraction, self.cfg.hot_weight);
         let write_fraction = self.cfg.write_fraction;
         let hit_cost = self.cost.dram.transfer(4096);
-        let state = self.hosts.get_mut(&host).expect("host owned by shard");
-        if state.issued >= self.cfg.accesses_per_host {
+        let accesses_per_host = self.cfg.accesses_per_host;
+        let state = self.host_mut(host);
+        if state.issued >= accesses_per_host {
             state.done = true;
             return;
         }
@@ -424,7 +430,7 @@ impl RackShard {
         if !self.issue_read(ctx, now, host, page, 0) {
             // Every replica suspect: stall and retry the whole access.
             self.metrics.inc("rack.read.stalled");
-            let state = self.hosts.get_mut(&host).unwrap();
+            let state = self.host_mut(host);
             state.inflight = None;
             state.issued -= 1;
             self.queue
@@ -444,7 +450,7 @@ impl RackShard {
     ) {
         let frames_cap = self.cfg.frames_per_host;
         let victim = {
-            let state = self.hosts.get_mut(&host).unwrap();
+            let state = self.host_mut(host);
             state.frames.insert(page, Frame { version, dirty });
             state.fifo.push_back(page);
             if state.frames.len() > frames_cap {
@@ -474,9 +480,7 @@ impl RackShard {
         self.metrics.inc("rack.writeback.pages");
         self.log.push(now.nanos(), "writeback", host as u64, page);
         *self
-            .hosts
-            .get_mut(&host)
-            .unwrap()
+            .host_mut(host)
             .pending_writes
             .entry((page, version))
             .or_insert(0) += replicas.len();
@@ -559,7 +563,7 @@ impl RackShard {
                     page_checksum(page, version),
                     "host {requester} page {page}: wrong read (content mismatch at v{version})"
                 );
-                let state = self.hosts.get_mut(&requester).expect("requester owned");
+                let state = self.host_mut(requester);
                 let fault = state.inflight.take().expect("fault in flight");
                 assert_eq!(fault.page, page, "response matches the in-flight fault");
                 assert!(
@@ -571,7 +575,7 @@ impl RackShard {
                 self.metrics
                     .record("rack.fault.ns", (now - fault.started).as_nanos());
                 self.install_frame(ctx, now, requester, page, version, fault.dirty);
-                let state = self.hosts.get_mut(&requester).unwrap();
+                let state = self.host_mut(requester);
                 let think = SimDuration::from_nanos(200 + state.rng.below(200) as u64);
                 self.queue
                     .schedule(now + think, LocalEvent::Access { host: requester });
@@ -585,7 +589,7 @@ impl RackShard {
                 self.metrics.inc("rack.read.failover");
                 self.log.push(now.nanos(), "failover", requester as u64, target as u64);
                 {
-                    let state = self.hosts.get_mut(&requester).expect("requester owned");
+                    let state = self.host_mut(requester);
                     if !state.suspects.contains(&target) {
                         state.suspects.push(target);
                     }
@@ -602,7 +606,7 @@ impl RackShard {
                 // Fail the read over to the next replica.
                 if !self.issue_read(ctx, now, requester, page, replica_idx + 1) {
                     self.metrics.inc("rack.read.stalled");
-                    let state = self.hosts.get_mut(&requester).unwrap();
+                    let state = self.host_mut(requester);
                     state.inflight = None;
                     state.issued -= 1;
                     self.queue
@@ -638,7 +642,7 @@ impl RackShard {
                 requester,
                 version,
             } => {
-                let state = self.hosts.get_mut(&requester).expect("requester owned");
+                let state = self.host_mut(requester);
                 let left = state
                     .pending_writes
                     .get_mut(&(page, version))
@@ -675,7 +679,7 @@ impl RackShard {
                 if up {
                     self.metrics.inc("rack.probe.cleared");
                     self.log.push(now.nanos(), "suspect.cleared", requester as u64, target as u64);
-                    let state = self.hosts.get_mut(&requester).expect("requester owned");
+                    let state = self.host_mut(requester);
                     state.suspects.retain(|&s| s != target);
                 } else {
                     // Still down: keep probing.
@@ -845,6 +849,13 @@ fn fnv1a_str(text: &str) -> u64 {
 /// mailbox misorder) or the run ends unquiesced (unfinished hosts,
 /// unacked writebacks, unresolved suspects).
 pub fn run_rack(config: &RackConfig, workers: usize) -> RackReport {
+    run_rack_timed(config, workers).0
+}
+
+/// [`run_rack`], plus the engine's per-worker host-time split (busy,
+/// barrier wait, routing). The report is the same at every worker count;
+/// the timing is wall-clock and varies from run to run.
+pub fn run_rack_timed(config: &RackConfig, workers: usize) -> (RackReport, EngineTiming) {
     let map = config.shard_map();
     let schedule = if config.faults {
         ShardFaultSchedule::generate(
@@ -867,7 +878,7 @@ pub fn run_rack(config: &RackConfig, workers: usize) -> RackReport {
     // so the minimum cross-shard latency is one small-message transfer.
     let min_latency = CostModel::paper_default().rdma.transfer(64);
     let epoch = min_latency;
-    let (mut shards, engine) = ShardedEngine::run(workers, shards, epoch, min_latency);
+    let (mut shards, engine, timing) = ShardedEngine::run(workers, shards, epoch, min_latency);
 
     // Deterministic post-run: merge shard-local state in shard order.
     let mut merged = LocalMetrics::new();
@@ -885,7 +896,8 @@ pub fn run_rack(config: &RackConfig, workers: usize) -> RackReport {
         // Quiescence invariants, per host. Failures are collected instead
         // of asserted inline so a broken run can dump the flight recorder
         // (recent trace events + metric windows) before panicking.
-        for (host, state) in shard.hosts.iter() {
+        for (i, state) in shard.hosts.iter().enumerate() {
+            let host = shard.first_host + i;
             if !(state.done && state.issued == config.accesses_per_host) {
                 quiescence_failures.push(format!(
                     "host {host} finished {}/{} accesses",
@@ -944,7 +956,7 @@ pub fn run_rack(config: &RackConfig, workers: usize) -> RackReport {
         .join(" ");
     let digest = format!("{:016x}", fnv1a_str(&metrics_line));
 
-    RackReport {
+    let report = RackReport {
         hosts: config.hosts,
         shards: map.shards(),
         accesses: merged.counter("rack.access.total"),
@@ -956,18 +968,15 @@ pub fn run_rack(config: &RackConfig, workers: usize) -> RackReport {
         cross_messages: engine.cross_messages,
         local_messages: engine.local_messages,
         epochs: engine.epochs,
-        horizon: engine_horizon(&engine),
+        horizon: engine.horizon,
         fault_p50_ns: merged.quantile("rack.fault.ns", 0.5),
         fault_p99_ns: merged.quantile("rack.fault.ns", 0.99),
         digest,
         trace_jsonl: ShardEventLog::merge_to_jsonl(&logs),
         metrics_line,
         timeline,
-    }
-}
-
-fn engine_horizon(engine: &EngineReport) -> SimInstant {
-    engine.horizon
+    };
+    (report, timing)
 }
 
 #[cfg(test)]
