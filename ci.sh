@@ -232,13 +232,32 @@ step "dmem_top --all (golden report)" sh -c '
 
 # Traced fig4: one telemetry-enabled pass exporting a Chrome-trace JSON,
 # then validate the artifact (parses, trace-event shaped, spans from >= 4
-# simulation layers). Guards the zero-cost-when-disabled contract's other
-# half: tracing, when on, actually observes the whole stack.
-step "traced fig4 + trace check" sh -c '
+# simulation layers) and byte-diff the metrics dump against the committed
+# one. Guards the zero-cost-when-disabled contract's other half: tracing,
+# when on, actually observes the whole stack.
+step "traced fig4 + trace check + metrics golden" sh -c '
+    set -e
     cargo run --release --quiet -p dmem-bench --bin fig4 -- \
         --trace-out results/fig4_trace.json --metrics-out results/fig4_metrics.txt
     cargo run --release --quiet -p dmem-bench --bin dmem_top -- \
         --check-trace results/fig4_trace.json
+    git diff --exit-code -- results/fig4_metrics.txt
+'
+
+# Full-figure goldens: rerun every paper figure, the table, the ablations
+# and the extension benches at full size, then byte-diff every committed
+# CSV. Everything runs on the virtual clock, so any diff is a behaviour
+# change that must be made on purpose and committed with its CSVs.
+step "full-figure goldens (results/*.csv byte-identical)" sh -c '
+    set -e
+    for bin in fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 table3 \
+        ablation_batching ablation_costmodel ablation_groups \
+        ablation_placement ablation_replication ext_federation \
+        ext_kv_cache ext_llm_serving ext_obj_alloc ext_crossover ext_qos \
+        fig4_rack; do
+        cargo run --release --quiet -p dmem-bench --bin "$bin" > /dev/null
+    done
+    git diff --exit-code -- results/*.csv
 '
 
 # Perf smoke: quick variants of the three wall-clock scenarios, compared

@@ -23,6 +23,24 @@ fn chunk_key(base: u64, index: u64) -> u64 {
     (base << CHUNK_BITS) | index
 }
 
+/// Chunks of a framed value of `len` bytes, or an error past capacity.
+fn chunk_count(len: usize) -> DmemResult<u64> {
+    let chunks = (len + 8).div_ceil(PAGE_SIZE) as u64;
+    if chunks >= MAX_CHUNKS {
+        return Err(DmemError::InvalidConfig {
+            reason: format!(
+                "value of {len} bytes exceeds chunked capacity ({MAX_CHUNKS} chunks max)"
+            ),
+        });
+    }
+    Ok(chunks)
+}
+
+/// The error for a value whose length frame under `base` is inconsistent.
+fn corrupt(server: ServerId, base: u64) -> DmemError {
+    DmemError::Corrupt(dmem_types::EntryId::new(server, chunk_key(base, 0)))
+}
+
 /// Stores `data` under `base` as page-sized chunks plus a length chunk.
 ///
 /// The value's byte length is encoded in chunk 0 ahead of the payload so
@@ -39,20 +57,9 @@ pub fn store_chunked(
     data: &[u8],
     pref: TierPreference,
 ) -> DmemResult<()> {
-    let header = (data.len() as u64).to_le_bytes();
-    let framed_len = header.len() + data.len();
-    let chunks = framed_len.div_ceil(PAGE_SIZE) as u64;
-    if chunks >= MAX_CHUNKS {
-        return Err(DmemError::InvalidConfig {
-            reason: format!(
-                "value of {} bytes exceeds chunked capacity ({} chunks max)",
-                data.len(),
-                MAX_CHUNKS
-            ),
-        });
-    }
-    let mut framed = Vec::with_capacity(framed_len);
-    framed.extend_from_slice(&header);
+    let chunks = chunk_count(data.len())?;
+    let mut framed = Vec::with_capacity(8 + data.len());
+    framed.extend_from_slice(&(data.len() as u64).to_le_bytes());
     framed.extend_from_slice(data);
     let batch: Vec<(u64, Vec<u8>)> = framed
         .chunks(PAGE_SIZE)
@@ -75,17 +82,10 @@ pub fn store_chunked(
 ///
 /// Returns [`DmemError::EntryNotFound`] for unknown keys and
 /// [`DmemError::Corrupt`] when the stored length frame is inconsistent.
-pub fn load_chunked(
-    dm: &DisaggregatedMemory,
-    server: ServerId,
-    base: u64,
-) -> DmemResult<Vec<u8>> {
+pub fn load_chunked(dm: &DisaggregatedMemory, server: ServerId, base: u64) -> DmemResult<Vec<u8>> {
     let first = dm.get(server, chunk_key(base, 0))?;
     if first.len() < 8 {
-        return Err(DmemError::Corrupt(dmem_types::EntryId::new(
-            server,
-            chunk_key(base, 0),
-        )));
+        return Err(corrupt(server, base));
     }
     let len = u64::from_le_bytes(first[..8].try_into().expect("8 bytes")) as usize;
     let framed_len = len + 8;
@@ -98,10 +98,7 @@ pub fn load_chunked(
         }
     }
     if framed.len() < framed_len {
-        return Err(DmemError::Corrupt(dmem_types::EntryId::new(
-            server,
-            chunk_key(base, 0),
-        )));
+        return Err(corrupt(server, base));
     }
     framed.drain(..8);
     framed.truncate(len);
@@ -141,16 +138,7 @@ pub fn store_chunked_many(
 ) -> DmemResult<()> {
     // Validate sizes up front so no window lands before the error.
     for (_, data) in items {
-        let chunks = (data.len() + 8).div_ceil(PAGE_SIZE) as u64;
-        if chunks >= MAX_CHUNKS {
-            return Err(DmemError::InvalidConfig {
-                reason: format!(
-                    "value of {} bytes exceeds chunked capacity ({} chunks max)",
-                    data.len(),
-                    MAX_CHUNKS
-                ),
-            });
-        }
+        chunk_count(data.len())?;
     }
     let mut window: Vec<(u64, Vec<u8>)> = Vec::with_capacity(STORE_WINDOW_CHUNKS);
     for (base, data) in items {
@@ -204,10 +192,7 @@ pub fn load_chunked_many(
     let mut tail_owner: Vec<usize> = Vec::new();
     for (i, (&base, first)) in bases.iter().zip(firsts).enumerate() {
         if first.len() < 8 {
-            return Err(DmemError::Corrupt(dmem_types::EntryId::new(
-                server,
-                chunk_key(base, 0),
-            )));
+            return Err(corrupt(server, base));
         }
         let len = u64::from_le_bytes(first[..8].try_into().expect("8 bytes")) as usize;
         let chunks = (len + 8).div_ceil(PAGE_SIZE) as u64;
@@ -227,10 +212,7 @@ pub fn load_chunked_many(
     let mut out = Vec::with_capacity(bases.len());
     for ((mut framed, len), &base) in framed_parts.into_iter().zip(lens).zip(bases) {
         if framed.len() < len + 8 {
-            return Err(DmemError::Corrupt(dmem_types::EntryId::new(
-                server,
-                chunk_key(base, 0),
-            )));
+            return Err(corrupt(server, base));
         }
         framed.drain(..8);
         framed.truncate(len);
@@ -309,7 +291,11 @@ mod tests {
     #[test]
     fn exact_page_boundaries() {
         let (dm, server) = system();
-        for (base, len) in [(4u64, PAGE_SIZE - 8), (5, PAGE_SIZE), (6, 2 * PAGE_SIZE - 8)] {
+        for (base, len) in [
+            (4u64, PAGE_SIZE - 8),
+            (5, PAGE_SIZE),
+            (6, 2 * PAGE_SIZE - 8),
+        ] {
             let value = vec![0xAB; len];
             store_chunked(&dm, server, base, &value, TierPreference::Auto).unwrap();
             assert_eq!(load_chunked(&dm, server, base).unwrap(), value, "len {len}");
@@ -350,9 +336,7 @@ mod tests {
     #[test]
     fn many_roundtrip_matches_singles() {
         let (dm, server) = system();
-        let values: Vec<Vec<u8>> = (0..12u8)
-            .map(|i| vec![i; 300 * (i as usize + 1)])
-            .collect();
+        let values: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i; 300 * (i as usize + 1)]).collect();
         let items: Vec<(u64, &[u8])> = values
             .iter()
             .enumerate()
@@ -384,7 +368,14 @@ mod tests {
     #[test]
     fn many_overwrite_drops_stale_tails() {
         let (dm, server) = system();
-        store_chunked(&dm, server, 300, &vec![1u8; 3 * PAGE_SIZE], TierPreference::Auto).unwrap();
+        store_chunked(
+            &dm,
+            server,
+            300,
+            &vec![1u8; 3 * PAGE_SIZE],
+            TierPreference::Auto,
+        )
+        .unwrap();
         let short: &[u8] = b"short";
         store_chunked_many(&dm, server, &[(300, short)], TierPreference::Auto).unwrap();
         assert_eq!(load_chunked(&dm, server, 300).unwrap(), b"short");
@@ -416,7 +407,11 @@ mod tests {
             ),
             Err(DmemError::InvalidConfig { .. })
         ));
-        assert_eq!(dm.stats().entries, 0, "nothing may land when the batch is invalid");
+        assert_eq!(
+            dm.stats().entries,
+            0,
+            "nothing may land when the batch is invalid"
+        );
     }
 
     #[test]

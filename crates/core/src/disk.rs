@@ -23,18 +23,13 @@ impl DiskTier {
     /// Creates the tier over the shared clock, charging the cost model's
     /// HDD device.
     pub fn new(clock: SimClock, cost: CostModel) -> Self {
-        DiskTier::with_device(clock, cost.hdd)
+        DiskTier::with_device_labeled(clock, cost.hdd, "disk")
     }
 
-    /// Creates a byte-store tier charging an arbitrary device — used for
-    /// the NVM and SSD extension tiers, which share the same per-node
-    /// store-entry semantics with different costs.
-    pub fn with_device(clock: SimClock, device: DeviceCost) -> Self {
-        DiskTier::with_device_labeled(clock, device, "disk")
-    }
-
-    /// [`DiskTier::with_device`] with an explicit trace-span category, so
-    /// NVM accesses are attributed separately from spinning disk.
+    /// Creates a byte-store tier charging an arbitrary device under its
+    /// own trace-span category — used for the NVM extension tier, which
+    /// shares the per-node store-entry semantics at a different cost and
+    /// is attributed separately from spinning disk.
     pub fn with_device_labeled(clock: SimClock, device: DeviceCost, label: &'static str) -> Self {
         DiskTier {
             clock,
@@ -184,7 +179,10 @@ mod tests {
 
     fn tier() -> (SimClock, DiskTier) {
         let clock = SimClock::new();
-        (clock.clone(), DiskTier::new(clock, CostModel::paper_default()))
+        (
+            clock.clone(),
+            DiskTier::new(clock, CostModel::paper_default()),
+        )
     }
 
     fn entry(k: u64) -> EntryId {
@@ -197,7 +195,10 @@ mod tests {
         tier.store(NodeId::new(0), entry(1), vec![1u8; 4096]);
         let after_store = clock.now();
         assert!(after_store.nanos() > 3_000_000, "store pays a ~4ms seek");
-        assert_eq!(tier.load(NodeId::new(0), entry(1)).unwrap(), vec![1u8; 4096]);
+        assert_eq!(
+            tier.load(NodeId::new(0), entry(1)).unwrap(),
+            vec![1u8; 4096]
+        );
         assert!((clock.now() - after_store).as_millis_f64() > 3.0);
     }
 

@@ -43,8 +43,10 @@ pub mod disk;
 pub mod maintenance;
 pub mod memmap;
 pub mod system;
+pub mod tier;
 
 pub use disk::DiskTier;
 pub use maintenance::{Maintenance, MaintenanceConfig, MaintenanceReport};
 pub use memmap::MemoryMap;
 pub use system::{DisaggregatedMemory, DmStats, TierPreference};
+pub use tier::Tier;

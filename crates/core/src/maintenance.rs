@@ -89,6 +89,34 @@ enum Task {
     Telemetry,
 }
 
+impl Task {
+    const ALL: [Task; 6] = [
+        Task::Repair,
+        Task::Eviction,
+        Task::Advertise,
+        Task::Balloon,
+        Task::QosTick,
+        Task::Telemetry,
+    ];
+
+    /// How often the task recurs; zero means it never runs. The QoS
+    /// tick exists only with an installed engine, and the telemetry
+    /// sampler only with an installed hub, ticking on the hub's own
+    /// window width so every capture lands exactly on a grid boundary:
+    /// unobserved runs schedule nothing and execute identical event
+    /// sequences.
+    fn interval(self, dm: &DisaggregatedMemory, config: &MaintenanceConfig) -> SimDuration {
+        match self {
+            Task::Repair => config.repair_interval,
+            Task::Eviction => config.eviction_interval,
+            Task::Advertise => config.advertise_interval,
+            Task::Balloon => config.balloon_interval,
+            Task::QosTick => dm.qos().map(|_| config.qos_interval).unwrap_or_default(),
+            Task::Telemetry => dm.telemetry().map(|hub| hub.window()).unwrap_or_default(),
+        }
+    }
+}
+
 /// The periodic-maintenance driver. See the module docs.
 pub struct Maintenance {
     dm: Arc<DisaggregatedMemory>,
@@ -108,27 +136,11 @@ impl Maintenance {
     ) -> Self {
         let mut queue = EventQueue::new();
         let now = dm.clock().now();
-        if !config.repair_interval.is_zero() {
-            queue.schedule(now + config.repair_interval, Task::Repair);
-        }
-        if !config.eviction_interval.is_zero() {
-            queue.schedule(now + config.eviction_interval, Task::Eviction);
-        }
-        if !config.advertise_interval.is_zero() {
-            queue.schedule(now + config.advertise_interval, Task::Advertise);
-        }
-        if !config.balloon_interval.is_zero() {
-            queue.schedule(now + config.balloon_interval, Task::Balloon);
-        }
-        if !config.qos_interval.is_zero() && dm.qos().is_some() {
-            queue.schedule(now + config.qos_interval, Task::QosTick);
-        }
-        // The telemetry sampler ticks on the hub's own window width, so
-        // every capture lands exactly on a grid boundary. Like QosTick,
-        // the task exists only when a hub is installed: unobserved runs
-        // schedule nothing and execute identical event sequences.
-        if let Some(hub) = dm.telemetry() {
-            queue.schedule(now + hub.window(), Task::Telemetry);
+        for task in Task::ALL {
+            let interval = task.interval(&dm, &config);
+            if !interval.is_zero() {
+                queue.schedule(now + interval, task);
+            }
         }
         Maintenance {
             dm,
@@ -170,8 +182,6 @@ impl Maintenance {
                     Task::Repair => {
                         report.repair_scans += 1;
                         report.repaired_entries += self.dm.repair_replicas() as u64;
-                        self.queue
-                            .schedule(self.dm.clock().now() + self.config.repair_interval, Task::Repair);
                     }
                     Task::Eviction => {
                         report.eviction_scans += 1;
@@ -188,10 +198,6 @@ impl Maintenance {
                         };
                         report.evicted_entries += outcome.moves.len() as u64;
                         report.reclaimed += outcome.reclaimed;
-                        self.queue.schedule(
-                            self.dm.clock().now() + self.config.eviction_interval,
-                            Task::Eviction,
-                        );
                     }
                     Task::Advertise => {
                         report.advertise_refreshes += 1;
@@ -200,10 +206,6 @@ impl Maintenance {
                                 self.dm.membership().advertise_free(node, stats.free);
                             }
                         }
-                        self.queue.schedule(
-                            self.dm.clock().now() + self.config.advertise_interval,
-                            Task::Advertise,
-                        );
                     }
                     Task::Balloon => {
                         // §IV-F policy (2): a server that overflows the
@@ -218,31 +220,18 @@ impl Maintenance {
                                 report.balloon_adjustments += 1;
                             }
                         }
-                        self.queue.schedule(
-                            self.dm.clock().now() + self.config.balloon_interval,
-                            Task::Balloon,
-                        );
                     }
                     Task::QosTick => {
                         report.qos_ticks += 1;
                         report.qos_actions += self.dm.qos_tick() as u64;
-                        self.queue.schedule(
-                            self.dm.clock().now() + self.config.qos_interval,
-                            Task::QosTick,
-                        );
                     }
                     Task::Telemetry => {
                         report.telemetry_windows += self.dm.telemetry_tick() as u64;
-                        let window = self
-                            .dm
-                            .telemetry()
-                            .map(|hub| hub.window())
-                            .unwrap_or_default();
-                        if !window.is_zero() {
-                            self.queue
-                                .schedule(self.dm.clock().now() + window, Task::Telemetry);
-                        }
                     }
+                }
+                let interval = task.interval(&self.dm, &self.config);
+                if !interval.is_zero() {
+                    self.queue.schedule(self.dm.clock().now() + interval, task);
                 }
             }
         }
@@ -284,7 +273,12 @@ mod tests {
             dm.membership().clone(),
             DetRng::new(11),
         );
-        Maintenance::new(Arc::clone(dm), MaintenanceConfig::default(), evictor, placer)
+        Maintenance::new(
+            Arc::clone(dm),
+            MaintenanceConfig::default(),
+            evictor,
+            placer,
+        )
     }
 
     #[test]

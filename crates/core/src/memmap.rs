@@ -5,6 +5,7 @@
 //! data entry is." Each map entry is an [`EntryRecord`]: location, sizes,
 //! compression class, version and checksum.
 
+use crate::tier::Tier;
 use dmem_types::{EntryLocation, EntryRecord, NodeId};
 use std::collections::HashMap;
 use std::fmt;
@@ -23,11 +24,7 @@ impl MemoryMap {
 
     /// Records (or replaces) the entry under `key`, bumping the version.
     pub fn upsert(&mut self, key: u64, mut record: EntryRecord) -> u64 {
-        let version = self
-            .entries
-            .get(&key)
-            .map(|r| r.version + 1)
-            .unwrap_or(1);
+        let version = self.entries.get(&key).map(|r| r.version + 1).unwrap_or(1);
         record.version = version;
         self.entries.insert(key, record);
         version
@@ -81,17 +78,11 @@ impl MemoryMap {
         false
     }
 
-    /// Counts entries by tier: `(node_shared, nvm, remote, cxl, disk)`.
-    pub fn tier_census(&self) -> (usize, usize, usize, usize, usize) {
-        let mut census = (0, 0, 0, 0, 0);
+    /// Counts entries by tier, in [`Tier::ALL`] order.
+    pub fn tier_census(&self) -> [usize; Tier::ALL.len()] {
+        let mut census = [0; Tier::ALL.len()];
         for record in self.entries.values() {
-            match record.location {
-                EntryLocation::NodeShared { .. } => census.0 += 1,
-                EntryLocation::Nvm => census.1 += 1,
-                EntryLocation::Remote { .. } => census.2 += 1,
-                EntryLocation::Cxl { .. } => census.3 += 1,
-                EntryLocation::Disk => census.4 += 1,
-            }
+            census[Tier::of(&record.location) as usize] += 1;
         }
         census
     }
@@ -105,7 +96,7 @@ impl MemoryMap {
 
 impl fmt::Display for MemoryMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (shared, nvm, remote, cxl, disk) = self.tier_census();
+        let [shared, cxl, nvm, remote, disk] = self.tier_census();
         write!(
             f,
             "map: {} entries ({shared} shared, {nvm} nvm, {remote} remote, {cxl} cxl, {disk} disk)",
@@ -158,7 +149,7 @@ mod tests {
         map.upsert(3, record(EntryLocation::Disk));
         map.upsert(4, record(EntryLocation::Nvm));
         map.upsert(5, record(EntryLocation::Cxl { addr: 0x40 }));
-        assert_eq!(map.tier_census(), (1, 1, 1, 1, 1));
+        assert_eq!(map.tier_census(), [1, 1, 1, 1, 1]);
         assert!(!map.to_string().is_empty());
     }
 
@@ -174,7 +165,10 @@ mod tests {
         assert!(map.relocate_replica(5, NodeId::new(2), NodeId::new(7)));
         match &map.get(5).unwrap().location {
             EntryLocation::Remote { replicas } => {
-                assert_eq!(replicas, &vec![NodeId::new(1), NodeId::new(7), NodeId::new(3)]);
+                assert_eq!(
+                    replicas,
+                    &vec![NodeId::new(1), NodeId::new(7), NodeId::new(3)]
+                );
             }
             other => panic!("unexpected location {other:?}"),
         }

@@ -2,14 +2,15 @@
 
 use crate::disk::DiskTier;
 use crate::memmap::MemoryMap;
+use crate::tier::{Put, Tier, DISK_ONLY};
 use dmem_cluster::{
     ClusterMembership, EvictionOutcome, GroupTable, LeaderElection, Placer, RemoteSlabEvictor,
     RemoteStore, Replicator,
 };
 use dmem_compress::{CompressMemo, CompressedPage, PageCodec};
-use dmem_net::{CxlAddr, CxlPool, Fabric, ShardRouter};
+use dmem_net::{CxlPool, Fabric, ShardRouter};
 use dmem_node::NodeManager;
-use dmem_qos::{AdmitDecision, ControlAction, QosEngine, ResidentTier, Victim};
+use dmem_qos::{AdmitDecision, ControlAction, QosEngine};
 use dmem_sim::shard::ShardMap;
 use dmem_sim::{
     CostModel, DetRng, FailureInjector, MetricsRegistry, SimClock, SimDuration, TelemetryHub,
@@ -19,16 +20,18 @@ use dmem_types::{
     NodeId, ServerId, SizeClass, TenantId, PAGE_SIZE,
 };
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// Where a `put` is allowed to land.
+/// Where a `put` is allowed to land: each preference names a static
+/// ladder of [`Tier`]s (see [`crate::tier`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierPreference {
-    /// Tier through shared memory → remote → disk (the paper's design).
+    /// Tier through shared memory → CXL → NVM → remote → disk (the
+    /// paper's design plus the §VI rungs, each only when configured).
     Auto,
-    /// Node shared memory only; error when the pool is full.
+    /// Node shared memory; spills to disk when the pool is full.
     NodeShared,
     /// Local byte-addressable NVM (the §VI extension tier); spills to
     /// disk when the NVM pool is full or absent.
@@ -36,7 +39,8 @@ pub enum TierPreference {
     /// The CXL pooled-memory tier (load/store far memory behind a
     /// switch); spills to disk when the pool is full, down, or absent.
     Cxl,
-    /// Remote cluster memory only (the FS-RDMA configuration of Fig. 8).
+    /// Remote cluster memory (the FS-RDMA configuration of Fig. 8);
+    /// spills to disk when the group cannot host the entry.
     Remote,
     /// Local disk only (the Linux-baseline path).
     Disk,
@@ -63,6 +67,14 @@ pub struct DmStats {
     pub remote_free: ByteSize,
 }
 
+/// The QoS view of one caller: the installed engine, if any, and the
+/// tenant the caller's server belongs to.
+#[derive(Clone, Copy)]
+pub(crate) struct Tenancy<'a> {
+    pub(crate) qos: Option<&'a Arc<QosEngine>>,
+    pub(crate) tenant: TenantId,
+}
+
 /// The paper's two-level disaggregated memory system over one simulated
 /// cluster. See the crate docs for an overview and example.
 pub struct DisaggregatedMemory {
@@ -79,11 +91,14 @@ pub struct DisaggregatedMemory {
     replicator: Replicator,
     disk: DiskTier,
     nvm: DiskTier,
-    nvm_used: Mutex<HashMap<NodeId, u64>>,
+    /// NVM bytes in use per node, kept by the NVM rung in `tier`.
+    pub(crate) nvm_used: Mutex<HashMap<NodeId, u64>>,
     /// The CXL memory pool, present only when `ClusterConfig::cxl`
     /// enables it — absent, no `cxl.*` metric keys exist and the tiering
     /// order is exactly the pre-CXL one.
     cxl: Option<Arc<CxlPool>>,
+    /// The `Auto` placement ladder, fixed by which tiers are configured.
+    auto_ladder: Vec<Tier>,
     codec: PageCodec,
     /// Byte-guarded compressed-page memo keyed by `(server, key)`. Hits
     /// skip the LZ matcher; the simulated compression cost is charged
@@ -133,7 +148,12 @@ impl DisaggregatedMemory {
         let mut managers = HashMap::new();
         let mut servers = Vec::new();
         for &node in &nodes {
-            let manager = Arc::new(NodeManager::new(node, config.node.slab_size, clock.clone(), cost));
+            let manager = Arc::new(NodeManager::new(
+                node,
+                config.node.slab_size,
+                clock.clone(),
+                cost,
+            ));
             for local in 0..config.servers_per_node as u32 {
                 let server = ServerId::new(node, local);
                 manager.register_server(server, config.server.memory, config.server.donation);
@@ -163,10 +183,8 @@ impl DisaggregatedMemory {
             ))
         });
 
-        let maps = servers
-            .iter()
-            .map(|&s| (s, MemoryMap::new()))
-            .collect();
+        let auto_ladder = Tier::auto_ladder(cxl.is_some(), config.node.nvm_pool.as_u64() > 0);
+        let maps = servers.iter().map(|&s| (s, MemoryMap::new())).collect();
 
         Ok(DisaggregatedMemory {
             config,
@@ -184,6 +202,7 @@ impl DisaggregatedMemory {
             nvm,
             nvm_used: Mutex::new(HashMap::new()),
             cxl,
+            auto_ladder,
             codec,
             compress_memo: Mutex::new(CompressMemo::with_default_capacity()),
             maps: Mutex::new(maps),
@@ -223,11 +242,6 @@ impl DisaggregatedMemory {
     /// The metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// The cost model in force.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// The underlying RDMA fabric (for advanced wiring, e.g. batch senders).
@@ -349,117 +363,39 @@ impl DisaggregatedMemory {
         applied
     }
 
-    /// Meters `bytes` of fabric traffic for `tenant` through the QoS
-    /// token buckets (waiting out any throttle delay on the virtual
-    /// clock), then runs `f` with the fabric's per-tenant verb accounting
-    /// scoped to `tenant`. Without an engine this is exactly `f()`.
-    fn metered<T>(
-        &self,
-        qos: Option<&Arc<QosEngine>>,
-        tenant: TenantId,
-        bytes: u64,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        let Some(engine) = qos else {
+    /// The QoS view of a caller on `server`.
+    fn tenancy(&self, server: ServerId) -> Tenancy<'_> {
+        let qos = self.qos.get();
+        let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(server));
+        Tenancy { qos, tenant }
+    }
+
+    /// Meters `bytes` of fabric traffic for `who` through the QoS token
+    /// buckets (waiting out any throttle delay on the virtual clock),
+    /// then runs `f` with the fabric's per-tenant verb accounting scoped
+    /// to the tenant. Without an engine this is exactly `f()`.
+    pub(crate) fn metered<T>(&self, who: Tenancy<'_>, bytes: u64, f: impl FnOnce() -> T) -> T {
+        let Some(engine) = who.qos else {
             return f();
         };
-        let wait = engine.fabric_acquire(tenant, bytes, self.clock.now());
+        let wait = engine.fabric_acquire(who.tenant, bytes, self.clock.now());
         if !wait.is_zero() {
             let span = self.clock.tracer().span("qos", "throttle");
             span.tag("bytes", bytes);
             self.clock.advance(wait);
         }
-        self.fabric.set_tenant_scope(Some(tenant));
+        self.fabric.set_tenant_scope(Some(who.tenant));
         let out = f();
         self.fabric.set_tenant_scope(None);
         out
     }
 
-    /// Demotes a shared-pool victim to disk so a higher-or-equal-priority
-    /// put can take its place. Returns `false` (leaving the victim alone)
-    /// if any step fails; residency is credited on success.
-    fn demote_victim(&self, engine: &QosEngine, victim: &Victim) -> bool {
-        let entry = victim.entry;
-        let server = entry.owner();
-        let node = server.node();
-        let Some(manager) = self.managers.get(&node) else {
-            return false;
-        };
-        let Ok(bytes) = manager.get(entry) else {
-            return false;
-        };
-        if manager.delete(entry).is_err() {
-            return false;
+    /// Charges fast-tier residency for an entry landed on `tier` (no-op
+    /// for disk, or without an engine).
+    fn note_landed(&self, who: Tenancy<'_>, entry: EntryId, stored_len: u64, tier: Tier) {
+        if let (Some(engine), Some(resident)) = (who.qos, tier.resident(entry)) {
+            engine.note_fast_resident(who.tenant, entry, stored_len, resident);
         }
-        self.disk.store(node, entry, bytes);
-        let mut maps = self.maps.lock();
-        if let Some(record) = maps
-            .get_mut(&server)
-            .and_then(|m| m.get(entry.key()))
-            .cloned()
-        {
-            let mut record = record;
-            record.location = EntryLocation::Disk;
-            if let Some(map) = maps.get_mut(&server) {
-                map.upsert(entry.key(), record);
-            }
-        }
-        drop(maps);
-        engine.note_dropped(victim.tenant, entry);
-        self.metrics.counter("qos.evict.demotions").inc();
-        true
-    }
-
-    /// [`DisaggregatedMemory::try_shared`] plus the QoS priority-eviction
-    /// retry: when the pool is full and the engine can name a victim of
-    /// no higher priority than `tenant`, the victim is demoted to disk
-    /// and the put retried once.
-    fn try_shared_qos(
-        &self,
-        qos: Option<&Arc<QosEngine>>,
-        tenant: TenantId,
-        node: NodeId,
-        entry: EntryId,
-        stored: &[u8],
-        record: &EntryRecord,
-    ) -> DmemResult<EntryLocation> {
-        let first = self.try_shared(node, entry, stored, record);
-        let Some(engine) = qos else {
-            return first;
-        };
-        if !matches!(&first, Err(DmemError::CapacityExhausted { .. })) {
-            return first;
-        }
-        let Some(victim) = engine.pick_victim(tenant, node, entry) else {
-            return first;
-        };
-        if !self.demote_victim(engine, &victim) {
-            return first;
-        }
-        engine.note_eviction(tenant, &victim);
-        self.try_shared(node, entry, stored, record).or(first)
-    }
-
-    /// Charges fast-tier residency for a landed put (no-op for disk, or
-    /// without an engine).
-    fn note_landed(
-        &self,
-        qos: Option<&Arc<QosEngine>>,
-        tenant: TenantId,
-        entry: EntryId,
-        stored_len: u64,
-        location: &EntryLocation,
-    ) {
-        let Some(engine) = qos else { return };
-        let node = entry.owner().node();
-        let tier = match location {
-            EntryLocation::NodeShared { .. } => ResidentTier::Shared(node),
-            EntryLocation::Nvm => ResidentTier::Nvm(node),
-            EntryLocation::Cxl { .. } => ResidentTier::Cxl,
-            EntryLocation::Remote { .. } => ResidentTier::Remote,
-            EntryLocation::Disk => return,
-        };
-        engine.note_fast_resident(tenant, entry, stored_len, tier);
     }
 
     /// The node manager of `node`.
@@ -522,58 +458,10 @@ impl DisaggregatedMemory {
             .collect())
     }
 
-    fn tier_name(location: &EntryLocation) -> &'static str {
-        match location {
-            EntryLocation::NodeShared { .. } => "shared",
-            EntryLocation::Remote { .. } => "remote",
-            EntryLocation::Nvm => "nvm",
-            EntryLocation::Cxl { .. } => "cxl",
-            EntryLocation::Disk => "disk",
-        }
-    }
-
-    fn memo_key(entry: EntryId) -> (u64, u64) {
+    pub(crate) fn memo_key(entry: EntryId) -> (u64, u64) {
         let server = entry.owner();
-        let server_key =
-            (u64::from(server.node().index()) << 32) | u64::from(server.local_index());
+        let server_key = (u64::from(server.node().index()) << 32) | u64::from(server.local_index());
         (server_key, entry.key())
-    }
-
-    fn prepare(&self, entry: EntryId, data: &[u8]) -> (Vec<u8>, EntryRecord) {
-        if data.len() <= PAGE_SIZE {
-            let page = self
-                .compress_memo
-                .lock()
-                .get_or_compress(Self::memo_key(entry), &self.codec, data);
-            if page.is_compressed {
-                let span = self.clock.tracer().span("compress", "compress");
-                span.tag("bytes", page.original_len);
-                self.clock.advance(self.cost.compress_page);
-            }
-            let record = EntryRecord {
-                location: EntryLocation::Disk, // placeholder, set by caller
-                len: page.original_len as u64,
-                stored_len: page.data.len() as u64,
-                class: if page.is_compressed {
-                    Some(page.class)
-                } else {
-                    None
-                },
-                version: 0,
-                checksum: page.checksum,
-            };
-            (page.data, record)
-        } else {
-            let record = EntryRecord {
-                location: EntryLocation::Disk,
-                len: data.len() as u64,
-                stored_len: data.len() as u64,
-                class: None,
-                version: 0,
-                checksum: checksum(data),
-            };
-            (data.to_vec(), record)
-        }
     }
 
     fn recover(&self, record: &EntryRecord, stored: Vec<u8>) -> DmemResult<Vec<u8>> {
@@ -599,66 +487,133 @@ impl DisaggregatedMemory {
             is_compressed: record.class.is_some(),
             checksum: record.checksum,
         };
-        self.compress_memo.lock().get_or_decompress(&self.codec, page)
+        self.compress_memo
+            .lock()
+            .get_or_decompress(&self.codec, page)
     }
 
-    fn drop_location(&self, entry: EntryId, record: &EntryRecord) {
+    /// Forgets `entry` and releases whatever its tier holds for it.
+    /// Returns `false` when the entry was not tracked.
+    fn remove(&self, entry: EntryId) -> bool {
+        let removed = self
+            .maps
+            .lock()
+            .get_mut(&entry.owner())
+            .and_then(|m| m.remove(entry.key()));
+        let Some(record) = removed else {
+            return false;
+        };
         if let Some(engine) = self.qos.get() {
             engine.note_dropped(engine.tenant_of(entry.owner()), entry);
         }
-        match &record.location {
-            EntryLocation::NodeShared { .. } => {
-                if let Some(m) = self.managers.get(&entry.owner().node()) {
-                    let _ = m.delete(entry);
-                }
+        Tier::release(self, entry, &record.location);
+        true
+    }
+
+    /// Releases the previous incarnation of `(server, key)` (replace
+    /// semantics) and compresses `data` into a put ready for a ladder.
+    fn prepare<'a>(&self, who: Tenancy<'a>, server: ServerId, key: u64, data: Vec<u8>) -> Put<'a> {
+        let entry = EntryId::new(server, key);
+        self.remove(entry);
+        let len = data.len() as u64;
+        let (stored, class, checksum) = if data.len() <= PAGE_SIZE {
+            let mut memo = self.compress_memo.lock();
+            let page = memo.get_or_compress(Self::memo_key(entry), &self.codec, &data);
+            drop(memo);
+            if page.is_compressed {
+                let span = self.clock.tracer().span("compress", "compress");
+                span.tag("bytes", page.original_len);
+                self.clock.advance(self.cost.compress_page);
             }
-            EntryLocation::Remote { replicas } => {
-                let set = dmem_cluster::ReplicaSet {
-                    nodes: replicas.clone(),
-                };
-                self.replicator
-                    .delete_replicated(entry.owner().node(), entry, &set);
-            }
-            EntryLocation::Nvm => {
-                let node = entry.owner().node();
-                if let Ok(freed) = self.nvm.delete(node, entry) {
-                    let mut used = self.nvm_used.lock();
-                    if let Some(u) = used.get_mut(&node) {
-                        *u = u.saturating_sub(freed as u64);
-                    }
-                }
-            }
-            EntryLocation::Cxl { addr } => {
-                if let Some(pool) = &self.cxl {
-                    let _ = pool.free(CxlAddr::from_raw(*addr));
-                }
-                // The write-behind shadow goes with it.
-                let _ = self.disk.delete(entry.owner().node(), entry);
-            }
-            EntryLocation::Disk => {
-                let _ = self.disk.delete(entry.owner().node(), entry);
-            }
+            let class = page.is_compressed.then_some(page.class);
+            (page.data, class, page.checksum)
+        } else {
+            let sum = checksum(&data);
+            (data, None, sum)
+        };
+        let record = EntryRecord {
+            location: EntryLocation::Disk, // placeholder, set on landing
+            len,
+            stored_len: stored.len() as u64,
+            class,
+            version: 0,
+            checksum,
+        };
+        Put {
+            entry,
+            record,
+            stored,
+            who,
         }
+    }
+
+    /// Walks `pref`'s ladder for `put`, offering it to each rung in turn
+    /// until one takes it; a rung that fails for any reason passes it
+    /// down. QoS admission comes first: over-quota and shed tenants
+    /// degrade to disk instead of taking fast-tier space (graceful
+    /// degradation, never a hard failure), and disk-only puts skip the
+    /// check, the disk tier being unmetered. A `windowed` walk stops
+    /// short of the remote rung, returning `None` when it gets there.
+    fn place(&self, pref: TierPreference, put: &Put<'_>, windowed: bool) -> Option<EntryLocation> {
+        let mut ladder = Tier::ladder(pref, &self.auto_ladder);
+        let bytes = put.stored.len() as u64;
+        let denied = |engine: &Arc<QosEngine>| {
+            engine.admit_fast(put.who.tenant, bytes) != AdmitDecision::Admit
+        };
+        if ladder != DISK_ONLY && put.who.qos.is_some_and(denied) {
+            ladder = DISK_ONLY;
+        }
+        ladder
+            .iter()
+            .take_while(|&&tier| !(windowed && tier == Tier::Remote))
+            .find_map(|tier| tier.store(self, put))
+    }
+
+    /// Records `put` landed at `location`: charges its residency and
+    /// upserts its map record.
+    fn land(&self, put: Put<'_>, location: EntryLocation) {
+        let (entry, mut record) = (put.entry, put.record);
+        self.note_landed(put.who, entry, record.stored_len, Tier::of(&location));
+        record.location = location;
+        self.maps
+            .lock()
+            .get_mut(&entry.owner())
+            .expect("server registered at construction")
+            .upsert(entry.key(), record);
+    }
+
+    /// Repoints the map record of `entry`, if still tracked, at
+    /// `location` (bumping its version). Returns whether it was tracked.
+    pub(crate) fn relocate(&self, entry: EntryId, location: EntryLocation) -> bool {
+        let mut maps = self.maps.lock();
+        let Some(map) = maps.get_mut(&entry.owner()) else {
+            return false;
+        };
+        let Some(mut record) = map.get(entry.key()).cloned() else {
+            return false;
+        };
+        record.location = location;
+        map.upsert(entry.key(), record);
+        true
     }
 
     /// Stores `data` under `(server, key)`, tiering automatically.
     ///
     /// # Errors
     ///
-    /// Returns [`DmemError::ServerUnavailable`] if the owner is down, and
-    /// any error of the last tier tried.
+    /// Returns [`DmemError::ServerUnavailable`] if the owner is down.
     pub fn put(&self, server: ServerId, key: u64, data: Vec<u8>) -> DmemResult<()> {
         self.put_pref(server, key, data, TierPreference::Auto)
     }
 
     /// Stores `data` with an explicit tier preference (used by the swap
-    /// backends to realize the Fig. 8 distribution-ratio sweep).
+    /// backends to realize the Fig. 8 distribution-ratio sweep). Every
+    /// preference but `Disk` tries its own tier (`Auto`: the whole
+    /// ladder) and spills to disk, the paper's last resort.
     ///
     /// # Errors
     ///
-    /// See [`DisaggregatedMemory::put`]; non-`Auto` preferences fail
-    /// without falling through to another tier, except `NodeShared`/
-    /// `Remote` which spill to disk as the paper's last resort.
+    /// Returns [`DmemError::ServerUnavailable`] if the owner is down.
     pub fn put_pref(
         &self,
         server: ServerId,
@@ -671,232 +626,16 @@ impl DisaggregatedMemory {
         }
         let span = self.clock.tracer().span("core", "put");
         let t0 = self.clock.now();
-        let entry = EntryId::new(server, key);
-        // Replace semantics: release the previous incarnation.
-        if let Some(old) = self.maps.lock().get_mut(&server).and_then(|m| m.remove(key)) {
-            self.drop_location(entry, &old);
-        }
-        let (stored, mut record) = self.prepare(entry, &data);
-        let node = server.node();
-        let stored_len = stored.len() as u64;
-        let qos = self.qos.get();
-        let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(server));
-        // QoS admission: over-quota and shed tenants degrade to disk
-        // instead of taking fast-tier space (graceful degradation, never
-        // a hard failure). Disk-preference puts skip the check — the disk
-        // tier is unmetered.
-        let admitted = match qos {
-            Some(engine) if pref != TierPreference::Disk => {
-                matches!(engine.admit_fast(tenant, stored_len), AdmitDecision::Admit)
-            }
-            _ => true,
-        };
-
-        let location = match pref {
-            _ if !admitted => None,
-            TierPreference::NodeShared | TierPreference::Auto => {
-                match self.try_shared_qos(qos, tenant, node, entry, &stored, &record) {
-                    Ok(loc) => Some(loc),
-                    Err(_) if pref == TierPreference::Auto => None,
-                    Err(e) => {
-                        // NodeShared preference spills to disk (paper: swap
-                        // to hard drive when no disaggregated memory). Both
-                        // a full pool and an entry too large for the pool's
-                        // page-sized blocks take that path.
-                        if matches!(
-                            e,
-                            DmemError::CapacityExhausted { .. } | DmemError::Unsupported { .. }
-                        ) {
-                            self.disk.store(node, entry, stored.clone());
-                            self.metrics.counter("core.put.disk").inc();
-                            Some(EntryLocation::Disk)
-                        } else {
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-            _ => None,
-        };
-        let location = match location {
-            Some(loc) => loc,
-            None if !admitted => {
-                self.disk.store(node, entry, stored.clone());
-                self.metrics.counter("core.put.disk").inc();
-                EntryLocation::Disk
-            }
-            None => match pref {
-                TierPreference::Disk => {
-                    self.disk.store(node, entry, stored.clone());
-                    self.metrics.counter("core.put.disk").inc();
-                    EntryLocation::Disk
-                }
-                TierPreference::Nvm => match self.try_nvm(node, entry, &stored) {
-                    Ok(loc) => loc,
-                    Err(_) => {
-                        self.disk.store(node, entry, stored.clone());
-                        self.metrics.counter("core.put.disk").inc();
-                        EntryLocation::Disk
-                    }
-                },
-                TierPreference::Cxl => {
-                    match self.try_cxl(qos, tenant, node, entry, &stored) {
-                        Ok(loc) => loc,
-                        Err(_) => {
-                            self.disk.store(node, entry, stored.clone());
-                            self.metrics.counter("core.put.disk").inc();
-                            EntryLocation::Disk
-                        }
-                    }
-                }
-                _ => {
-                    // Auto continues down the hierarchy: the CXL pool
-                    // (when configured) is the first stop past the node —
-                    // cacheline far memory one switch hop away — then
-                    // local NVM absorbs overflow before the network, then
-                    // remote memory in the owner's group, then disk.
-                    let nvm = if pref == TierPreference::Auto {
-                        self.try_cxl(qos, tenant, node, entry, &stored)
-                            .or_else(|_| self.try_nvm(node, entry, &stored))
-                            .ok()
-                    } else {
-                        None
-                    };
-                    match nvm {
-                        Some(loc) => loc,
-                        None => match self.metered(qos, tenant, stored_len, || {
-                            self.try_remote(node, entry, &stored)
-                        }) {
-                            Ok(loc) => loc,
-                            Err(_) => {
-                                self.disk.store(node, entry, stored.clone());
-                                self.metrics.counter("core.put.disk").inc();
-                                EntryLocation::Disk
-                            }
-                        },
-                    }
-                }
-            },
-        };
-        span.tag("tier", Self::tier_name(&location));
+        let put = self.prepare(self.tenancy(server), server, key, data);
+        let location = self
+            .place(pref, &put, false)
+            .expect("every ladder ends at disk, which cannot fail");
+        span.tag("tier", Tier::of(&location).name());
         self.metrics
             .histogram("core.put.ns")
             .record((self.clock.now() - t0).as_nanos());
-        self.note_landed(qos, tenant, entry, stored_len, &location);
-        record.location = location;
-        self.maps
-            .lock()
-            .get_mut(&server)
-            .expect("server registered at construction")
-            .upsert(key, record);
+        self.land(put, location);
         Ok(())
-    }
-
-    fn try_shared(
-        &self,
-        node: NodeId,
-        entry: EntryId,
-        stored: &[u8],
-        record: &EntryRecord,
-    ) -> DmemResult<EntryLocation> {
-        if stored.len() > PAGE_SIZE {
-            return Err(DmemError::Unsupported {
-                op: "multi-page entries in the node shared pool".into(),
-            });
-        }
-        let class = record
-            .class
-            .or_else(|| dmem_types::SizeClass::fitting(stored.len()))
-            .ok_or(DmemError::Unsupported {
-                op: "oversized page".into(),
-            })?;
-        let manager = self
-            .managers
-            .get(&node)
-            .ok_or(DmemError::NodeUnavailable(node))?;
-        let block = manager.put(entry, stored.to_vec(), class)?;
-        self.metrics.counter("core.put.shared").inc();
-        Ok(EntryLocation::NodeShared {
-            slab: block.slab,
-            offset: block.offset,
-        })
-    }
-
-    fn try_nvm(&self, node: NodeId, entry: EntryId, stored: &[u8]) -> DmemResult<EntryLocation> {
-        let capacity = self.config.node.nvm_pool.as_u64();
-        if capacity == 0 {
-            return Err(DmemError::Unsupported {
-                op: "nvm tier not configured".into(),
-            });
-        }
-        {
-            let mut used = self.nvm_used.lock();
-            let u = used.entry(node).or_insert(0);
-            if *u + stored.len() as u64 > capacity {
-                return Err(DmemError::CapacityExhausted {
-                    pool: format!("nvm on {node}"),
-                });
-            }
-            *u += stored.len() as u64;
-        }
-        self.nvm.store(node, entry, stored.to_vec());
-        self.metrics.counter("core.put.nvm").inc();
-        Ok(EntryLocation::Nvm)
-    }
-
-    /// Deterministic placement key of `entry` on the CXL ring: mixes the
-    /// owning server into the entry key so tenants spread across pool
-    /// nodes instead of clustering by key range.
-    fn cxl_key(entry: EntryId) -> u64 {
-        let (server_key, key) = Self::memo_key(entry);
-        server_key
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(key)
-    }
-
-    /// Places `entry` in the CXL pool: ring placement, allocation, one
-    /// cacheline-granular store, and a write-behind shadow copy on the
-    /// owner's disk so pool-node loss degrades to disk instead of losing
-    /// the entry. Fabric bytes are metered against the tenant's QoS
-    /// token bucket, same as remote traffic.
-    fn try_cxl(
-        &self,
-        qos: Option<&Arc<QosEngine>>,
-        tenant: TenantId,
-        node: NodeId,
-        entry: EntryId,
-        stored: &[u8],
-    ) -> DmemResult<EntryLocation> {
-        let Some(pool) = &self.cxl else {
-            return Err(DmemError::Unsupported {
-                op: "cxl tier not configured".into(),
-            });
-        };
-        let addr = self.metered(qos, tenant, stored.len() as u64, || {
-            let addr = pool.alloc(Self::cxl_key(entry), stored.len())?;
-            if let Err(e) = pool.store(addr, stored) {
-                let _ = pool.free(addr);
-                return Err(e);
-            }
-            Ok(addr)
-        })?;
-        self.disk.store_behind(node, entry, stored.to_vec());
-        self.metrics.counter("core.put.cxl").inc();
-        Ok(EntryLocation::Cxl { addr: addr.raw() })
-    }
-
-    fn try_remote(&self, node: NodeId, entry: EntryId, stored: &[u8]) -> DmemResult<EntryLocation> {
-        let peers = self.group_peers(node)?;
-        if let Some(m) = self.managers.get(&node) {
-            m.record_remote_escalation();
-        }
-        let set = self
-            .replicator
-            .store_replicated(node, entry, stored, Some(&peers))?;
-        self.metrics.counter("core.put.remote").inc();
-        Ok(EntryLocation::Remote {
-            replicas: set.nodes,
-        })
     }
 
     /// Reads the entry back, wherever it lives, verifying integrity.
@@ -909,62 +648,19 @@ impl DisaggregatedMemory {
     pub fn get(&self, server: ServerId, key: u64) -> DmemResult<Vec<u8>> {
         let entry = EntryId::new(server, key);
         let record = self
-            .maps
-            .lock()
-            .get(&server)
-            .and_then(|m| m.get(key).cloned())
+            .record(server, key)
             .ok_or(DmemError::EntryNotFound(entry))?;
         let span = self.clock.tracer().span("core", "get");
-        span.tag("tier", Self::tier_name(&record.location));
+        span.tag("tier", Tier::of(&record.location).name());
         let t0 = self.clock.now();
-        let qos = self.qos.get();
-        let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(server));
-        let stored = match &record.location {
-            EntryLocation::NodeShared { .. } => {
-                let manager = self
-                    .managers
-                    .get(&server.node())
-                    .ok_or(DmemError::NodeUnavailable(server.node()))?;
-                manager.get(entry)?
-            }
-            EntryLocation::Remote { replicas } => {
-                let set = dmem_cluster::ReplicaSet {
-                    nodes: replicas.clone(),
-                };
-                self.metered(qos, tenant, record.stored_len, || {
-                    self.replicator.load_replicated(server.node(), entry, &set)
-                })?
-            }
-            EntryLocation::Nvm => self.nvm.load(server.node(), entry)?,
-            EntryLocation::Cxl { addr } => {
-                let pool = self.cxl.as_ref().ok_or(DmemError::Unsupported {
-                    op: "cxl tier not configured".into(),
-                })?;
-                let loaded = self.metered(qos, tenant, record.stored_len, || {
-                    pool.load(CxlAddr::from_raw(*addr))
-                });
-                match loaded {
-                    Ok(bytes) => bytes,
-                    Err(DmemError::CxlPoolNodeDown { .. }) => {
-                        // Pool-node outage: degrade to the write-behind
-                        // shadow on the owner's disk, paying the full
-                        // device cost. `recover` still checksums the
-                        // payload, so the failover path can never serve
-                        // wrong or stale bytes.
-                        self.metrics.counter("cxl.failover.reads").inc();
-                        self.disk.load(server.node(), entry)?
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            EntryLocation::Disk => self.disk.load(server.node(), entry)?,
-        };
+        let who = self.tenancy(server);
+        let stored = Tier::load(self, who, entry, &record)?;
         let out = self.recover(&record, stored);
         let elapsed = (self.clock.now() - t0).as_nanos();
         self.metrics.histogram("core.get.ns").record(elapsed);
-        if let Some(engine) = qos {
+        if let Some(engine) = who.qos {
             self.metrics
-                .histogram(&format!("qos.{}.get.ns", engine.tenant_name(tenant)))
+                .histogram(&format!("qos.{}.get.ns", engine.tenant_name(who.tenant)))
                 .record(elapsed);
         }
         out
@@ -981,7 +677,6 @@ impl DisaggregatedMemory {
     pub fn get_batch(&self, server: ServerId, keys: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
         let span = self.clock.tracer().span("core", "get_batch");
         span.tag("entries", keys.len());
-        // Group keys by (tier, primary host) while remembering positions.
         let mut records = Vec::with_capacity(keys.len());
         {
             let maps = self.maps.lock();
@@ -989,78 +684,69 @@ impl DisaggregatedMemory {
                 .get(&server)
                 .ok_or(DmemError::ServerUnavailable(server))?;
             for &key in keys {
-                let record = map
-                    .get(key)
-                    .cloned()
-                    .ok_or(DmemError::EntryNotFound(EntryId::new(server, key)))?;
-                records.push(record);
+                let missing = DmemError::EntryNotFound(EntryId::new(server, key));
+                records.push(map.get(key).cloned().ok_or(missing)?);
             }
         }
         let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-
-        // Remote batches by primary replica. BTreeMap so hosts are read
-        // in node order: virtual totals are order-independent, but span
+        // Remote entries batch per primary replica and disk entries in one
+        // batch; the rest are read alone. Batches are keyed `(is_disk,
+        // host)` in a BTreeMap, so remote hosts are read in node order and
+        // disk last: virtual totals are order-independent, but span
         // boundaries (and thus trace exports) must not vary run-to-run.
-        let mut by_primary: std::collections::BTreeMap<NodeId, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        let mut disk_idx: Vec<usize> = Vec::new();
+        let mut batches: BTreeMap<(bool, NodeId), Vec<usize>> = BTreeMap::new();
         for (i, record) in records.iter().enumerate() {
             match &record.location {
                 EntryLocation::Remote { replicas } if !replicas.is_empty() => {
-                    by_primary.entry(replicas[0]).or_default().push(i);
+                    batches.entry((false, replicas[0])).or_default().push(i);
                 }
-                EntryLocation::Disk => disk_idx.push(i),
-                _ => {
-                    let data = self.get(server, keys[i])?;
-                    out[i] = Some(data);
-                }
+                EntryLocation::Disk => batches.entry((true, server.node())).or_default().push(i),
+                _ => out[i] = Some(self.get(server, keys[i])?),
             }
         }
-        let qos = self.qos.get();
-        let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(server));
-        for (primary, indices) in by_primary {
-            let ids: Vec<EntryId> = indices
+        let who = self.tenancy(server);
+        for ((disk, host), slots) in batches {
+            let ids: Vec<EntryId> = slots
                 .iter()
                 .map(|&i| EntryId::new(server, keys[i]))
                 .collect();
-            let batch_bytes: u64 = indices.iter().map(|&i| records[i].stored_len).sum();
-            match self.metered(qos, tenant, batch_bytes, || {
-                self.remote.load_batch(server.node(), primary, &ids)
-            }) {
-                Ok(blobs) => {
-                    for (slot, blob) in indices.iter().zip(blobs) {
-                        out[*slot] = Some(self.recover(&records[*slot], blob)?);
+            let blobs = if disk {
+                self.disk.load_batch(host, &ids)?
+            } else {
+                let bytes = slots.iter().map(|&i| records[i].stored_len).sum();
+                match self.metered(who, bytes, || {
+                    self.remote.load_batch(server.node(), host, &ids)
+                }) {
+                    Ok(blobs) => blobs,
+                    Err(_) => {
+                        // Primary unreachable: fall back to per-entry failover.
+                        for &i in &slots {
+                            out[i] = Some(self.get(server, keys[i])?);
+                        }
+                        continue;
                     }
                 }
-                Err(_) => {
-                    // Primary unreachable: fall back to per-entry failover.
-                    for &i in &indices {
-                        out[i] = Some(self.get(server, keys[i])?);
-                    }
-                }
+            };
+            for (&slot, blob) in slots.iter().zip(blobs) {
+                out[slot] = Some(self.recover(&records[slot], blob)?);
             }
         }
-        if !disk_idx.is_empty() {
-            let ids: Vec<EntryId> = disk_idx
-                .iter()
-                .map(|&i| EntryId::new(server, keys[i]))
-                .collect();
-            let blobs = self.disk.load_batch(server.node(), &ids)?;
-            for (slot, blob) in disk_idx.iter().zip(blobs) {
-                out[*slot] = Some(self.recover(&records[*slot], blob)?);
-            }
-        }
-        Ok(out.into_iter().map(|o| o.expect("all slots filled")).collect())
+        Ok(out
+            .into_iter()
+            .map(|o| o.expect("all slots filled"))
+            .collect())
     }
 
     /// Stores a batch of entries with one remote replica-set per batch and
-    /// windowed transfers (FastSwap's batched swap-out, §IV-H). Entries
-    /// that fit the shared pool go there first under `Auto`.
+    /// windowed transfers (FastSwap's batched swap-out, §IV-H). Each entry
+    /// walks the same ladder as [`DisaggregatedMemory::put_pref`], except
+    /// that the remote rung is deferred: every entry reaching it joins one
+    /// window, written to a single replica set, or to disk in one batched
+    /// write when the group cannot host it.
     ///
     /// # Errors
     ///
-    /// Fails if the final disk fallback fails (it does not), or propagates
-    /// server-unavailability.
+    /// Returns [`DmemError::ServerUnavailable`] if the owner is down.
     pub fn put_batch(
         &self,
         server: ServerId,
@@ -1072,199 +758,61 @@ impl DisaggregatedMemory {
         }
         let span = self.clock.tracer().span("core", "put_batch");
         span.tag("entries", batch.len());
-        let node = server.node();
-        let qos = self.qos.get();
-        let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(server));
-        let mut remote_items: Vec<(u64, Vec<u8>, EntryRecord)> = Vec::new();
+        let who = self.tenancy(server);
+        // The remote window: payloads in `window`, the rest of each put
+        // in `deferred`.
+        let mut window: Vec<(EntryId, Vec<u8>)> = Vec::new();
+        let mut deferred: Vec<Put<'_>> = Vec::new();
         for (key, data) in batch {
-            let entry = EntryId::new(server, key);
-            if let Some(old) = self.maps.lock().get_mut(&server).and_then(|m| m.remove(key)) {
-                self.drop_location(entry, &old);
-            }
-            let (stored, mut record) = self.prepare(entry, &data);
-            let admitted = match qos {
-                Some(engine) if pref != TierPreference::Disk => matches!(
-                    engine.admit_fast(tenant, stored.len() as u64),
-                    AdmitDecision::Admit
-                ),
-                _ => true,
-            };
-            if !admitted {
-                // QoS denial: degrade this entry to disk, same terminal
-                // tier as the batch's own last-resort path.
-                record.location = EntryLocation::Disk;
-                self.disk.store(node, entry, stored);
-                self.maps
-                    .lock()
-                    .get_mut(&server)
-                    .expect("registered")
-                    .upsert(key, record);
-                continue;
-            }
-            match pref {
-                TierPreference::Auto | TierPreference::NodeShared => {
-                    match self.try_shared_qos(qos, tenant, node, entry, &stored, &record) {
-                        Ok(loc) => {
-                            record.location = loc;
-                            self.note_landed(
-                                qos,
-                                tenant,
-                                entry,
-                                record.stored_len,
-                                &record.location,
-                            );
-                            self.maps
-                                .lock()
-                                .get_mut(&server)
-                                .expect("registered")
-                                .upsert(key, record);
-                        }
-                        Err(_) if pref == TierPreference::Auto => {
-                            // The CXL pool, then local NVM, absorb Auto
-                            // overflow before the network (no batching
-                            // needed: neither pays a per-verb base).
-                            if let Ok(loc) = self
-                                .try_cxl(qos, tenant, node, entry, &stored)
-                                .or_else(|_| self.try_nvm(node, entry, &stored))
-                            {
-                                record.location = loc;
-                                self.note_landed(
-                                    qos,
-                                    tenant,
-                                    entry,
-                                    record.stored_len,
-                                    &record.location,
-                                );
-                                self.maps
-                                    .lock()
-                                    .get_mut(&server)
-                                    .expect("registered")
-                                    .upsert(key, record);
-                            } else {
-                                // Reserve residency now: later entries in
-                                // this batch are admitted against a quota
-                                // that already includes this one.
-                                if let Some(engine) = qos {
-                                    engine.note_fast_resident(
-                                        tenant,
-                                        entry,
-                                        record.stored_len,
-                                        ResidentTier::Remote,
-                                    );
-                                }
-                                remote_items.push((key, stored, record));
-                            }
-                        }
-                        Err(_) => {
-                            record.location = EntryLocation::Disk;
-                            self.disk.store(node, entry, stored);
-                            self.maps
-                                .lock()
-                                .get_mut(&server)
-                                .expect("registered")
-                                .upsert(key, record);
-                        }
-                    }
-                }
-                TierPreference::Remote => {
-                    if let Some(engine) = qos {
-                        engine.note_fast_resident(
-                            tenant,
-                            entry,
-                            record.stored_len,
-                            ResidentTier::Remote,
-                        );
-                    }
-                    remote_items.push((key, stored, record));
-                }
-                TierPreference::Nvm | TierPreference::Cxl => {
-                    let placed = if pref == TierPreference::Nvm {
-                        self.try_nvm(node, entry, &stored)
-                    } else {
-                        self.try_cxl(qos, tenant, node, entry, &stored)
-                    };
-                    record.location = match placed {
-                        Ok(loc) => loc,
-                        Err(_) => {
-                            self.disk.store(node, entry, stored.clone());
-                            EntryLocation::Disk
-                        }
-                    };
-                    self.note_landed(qos, tenant, entry, record.stored_len, &record.location);
-                    self.maps
-                        .lock()
-                        .get_mut(&server)
-                        .expect("registered")
-                        .upsert(key, record);
-                }
-                TierPreference::Disk => {
-                    record.location = EntryLocation::Disk;
-                    self.disk.store(node, entry, stored);
-                    self.maps
-                        .lock()
-                        .get_mut(&server)
-                        .expect("registered")
-                        .upsert(key, record);
+            let mut put = self.prepare(who, server, key, data);
+            match self.place(pref, &put, true) {
+                Some(location) => self.land(put, location),
+                None => {
+                    // Reserve residency now: later entries in this batch
+                    // are admitted against a quota that already includes
+                    // this one.
+                    self.note_landed(who, put.entry, put.record.stored_len, Tier::Remote);
+                    window.push((put.entry, std::mem::take(&mut put.stored)));
+                    deferred.push(put);
                 }
             }
         }
-        if remote_items.is_empty() {
+        if window.is_empty() {
             return Ok(());
         }
-        // One replica set for the whole window; one batched RDMA write per
-        // replica. Falls back to disk when the group cannot host it.
+        let node = server.node();
         let peers = self.group_peers(node)?;
-        if let Some(m) = self.managers.get(&node) {
-            m.record_remote_escalation();
-        }
-        let id_batch: Vec<(EntryId, Vec<u8>)> = remote_items
-            .iter()
-            .map(|(k, d, _)| (EntryId::new(server, *k), d.clone()))
-            .collect();
-        let batch_bytes: u64 = remote_items.iter().map(|(_, d, _)| d.len() as u64).sum();
-        let picked = self
-            .metered(qos, tenant, batch_bytes, || {
-                self.replicator.store_batch_replicated(node, &id_batch, &peers)
-            })
-            .ok();
-        match picked {
-            Some(set) => {
-                for (key, _, mut record) in remote_items {
-                    record.location = EntryLocation::Remote {
-                        replicas: set.nodes.clone(),
-                    };
-                    let entry = EntryId::new(server, key);
-                    self.note_landed(qos, tenant, entry, record.stored_len, &record.location);
-                    self.maps
-                        .lock()
-                        .get_mut(&server)
-                        .expect("registered")
-                        .upsert(key, record);
-                }
+        self.node_manager(node).record_remote_escalation();
+        let bytes = window.iter().map(|(_, d)| d.len() as u64).sum();
+        let location = match self.metered(who, bytes, || {
+            self.replicator
+                .store_batch_replicated(node, &window, &peers)
+        }) {
+            Ok(set) => {
                 self.metrics
                     .counter("core.put.remote_batched")
                     .add(set.nodes.len() as u64);
-            }
-            None => {
-                let items: Vec<(EntryId, Vec<u8>)> = remote_items
-                    .iter()
-                    .map(|(k, d, _)| (EntryId::new(server, *k), d.clone()))
-                    .collect();
-                self.disk.store_batch(node, items);
-                for (key, _, mut record) in remote_items {
-                    // Credit the residency reserved at admission: the
-                    // window fell through to disk, an unmetered tier.
-                    if let Some(engine) = qos {
-                        engine.note_dropped(tenant, EntryId::new(server, key));
-                    }
-                    record.location = EntryLocation::Disk;
-                    self.maps
-                        .lock()
-                        .get_mut(&server)
-                        .expect("registered")
-                        .upsert(key, record);
+                EntryLocation::Remote {
+                    replicas: set.nodes,
                 }
             }
+            Err(_) => {
+                self.metrics
+                    .counter("core.put.disk")
+                    .add(window.len() as u64);
+                self.disk.store_batch(node, window);
+                // Credit the residency reserved above: the window fell
+                // through to disk, an unmetered tier.
+                if let Some(engine) = who.qos {
+                    for put in &deferred {
+                        engine.note_dropped(who.tenant, put.entry);
+                    }
+                }
+                EntryLocation::Disk
+            }
+        };
+        for put in deferred {
+            self.land(put, location.clone());
         }
         Ok(())
     }
@@ -1276,19 +824,17 @@ impl DisaggregatedMemory {
     /// Returns [`DmemError::EntryNotFound`] for unknown keys.
     pub fn delete(&self, server: ServerId, key: u64) -> DmemResult<()> {
         let entry = EntryId::new(server, key);
-        let record = self
-            .maps
-            .lock()
-            .get_mut(&server)
-            .and_then(|m| m.remove(key))
-            .ok_or(DmemError::EntryNotFound(entry))?;
-        self.drop_location(entry, &record);
-        Ok(())
+        self.remove(entry)
+            .then_some(())
+            .ok_or(DmemError::EntryNotFound(entry))
     }
 
     /// The memory-map record of `(server, key)`, if tracked.
     pub fn record(&self, server: ServerId, key: u64) -> Option<EntryRecord> {
-        self.maps.lock().get(&server).and_then(|m| m.get(key).cloned())
+        self.maps
+            .lock()
+            .get(&server)
+            .and_then(|m| m.get(key).cloned())
     }
 
     /// The replication manager, exposed so invariant checkers can probe
@@ -1308,7 +854,8 @@ impl DisaggregatedMemory {
         let mut out: Vec<(ServerId, u64, EntryRecord)> = maps
             .iter()
             .flat_map(|(server, map)| {
-                map.iter().map(move |(key, record)| (*server, key, record.clone()))
+                map.iter()
+                    .map(move |(key, record)| (*server, key, record.clone()))
             })
             .collect();
         out.sort_by_key(|(server, key, _)| (*server, *key));
@@ -1321,7 +868,11 @@ impl DisaggregatedMemory {
     /// # Errors
     ///
     /// Propagates evictor-level failures.
-    pub fn run_eviction(&self, evictor: &RemoteSlabEvictor, placer: &Placer) -> DmemResult<EvictionOutcome> {
+    pub fn run_eviction(
+        &self,
+        evictor: &RemoteSlabEvictor,
+        placer: &Placer,
+    ) -> DmemResult<EvictionOutcome> {
         let span = self.clock.tracer().span("cluster", "evict_scan");
         let outcome = evictor.scan(&self.remote, placer)?;
         span.tag("moves", outcome.moves.len());
@@ -1338,43 +889,26 @@ impl DisaggregatedMemory {
     /// returning how many entries were re-replicated.
     pub fn repair_replicas(&self) -> usize {
         let span = self.clock.tracer().span("cluster", "repair");
-        let mut snapshot: Vec<(ServerId, u64, Vec<NodeId>)> = {
-            let maps = self.maps.lock();
-            maps.iter()
-                .flat_map(|(server, map)| {
-                    map.iter().filter_map(move |(key, record)| {
-                        match &record.location {
-                            EntryLocation::Remote { replicas } => {
-                                Some((*server, key, replicas.clone()))
-                            }
-                            _ => None,
-                        }
-                    })
-                })
-                .collect()
-        };
-        // Repair in (server, key) order: the snapshot above walks two
-        // `HashMap`s, and repair order feeds the placement RNG and every
-        // host's allocator, so map order would make all downstream
-        // placement — and the per-seed metrics digest — vary run-to-run.
-        snapshot.sort_unstable_by_key(|(server, key, _)| (*server, *key));
         let mut repaired = 0;
-        for (server, key, replicas) in snapshot {
+        // Repair in (server, key) snapshot order, not map order: repair
+        // order feeds the placement RNG and every host's allocator, so map
+        // order would make all downstream placement — and the per-seed
+        // metrics digest — vary run-to-run.
+        for (server, key, record) in self.entries_snapshot() {
+            let EntryLocation::Remote { replicas } = record.location else {
+                continue;
+            };
             let entry = EntryId::new(server, key);
             let set = dmem_cluster::ReplicaSet { nodes: replicas };
-            if self.replicator.live_degree(entry, &set) < self.replicator.factor().get() {
-                if let Ok(new_set) = self.replicator.re_replicate(server.node(), entry, &set) {
-                    let mut maps = self.maps.lock();
-                    if let Some(map) = maps.get_mut(&server) {
-                        if let Some(record) = map.get(key).cloned() {
-                            let mut record = record;
-                            record.location = EntryLocation::Remote {
-                                replicas: new_set.nodes,
-                            };
-                            map.upsert(key, record);
-                            repaired += 1;
-                        }
-                    }
+            if self.replicator.live_degree(entry, &set) >= self.replicator.factor().get() {
+                continue;
+            }
+            if let Ok(new_set) = self.replicator.re_replicate(server.node(), entry, &set) {
+                let location = EntryLocation::Remote {
+                    replicas: new_set.nodes,
+                };
+                if self.relocate(entry, location) {
+                    repaired += 1;
                 }
             }
         }
@@ -1433,59 +967,43 @@ impl DisaggregatedMemory {
         let lost_remote = self.remote.reset_node(node)?;
         let mut purged = 0;
         let mut maps = self.maps.lock();
-        for (&server, map) in maps.iter_mut() {
-            if server.node() == node {
-                purged += map.len();
-                // Release the restarted servers' CXL blocks (and their
-                // disk shadows): the maps are cleared wholesale below,
-                // bypassing `drop_location`, and leaked blocks would eat
-                // pool capacity forever.
-                if let Some(pool) = &self.cxl {
-                    for (key, record) in map.iter() {
-                        if let EntryLocation::Cxl { addr } = record.location {
-                            let _ = pool.free(CxlAddr::from_raw(addr));
-                            let _ = self.disk.delete(node, EntryId::new(server, key));
-                        }
-                    }
-                }
-                if let Some(engine) = self.qos.get() {
-                    // The maps are cleared wholesale below, bypassing
-                    // `drop_location`; credit residency entry by entry so
-                    // quota accounting survives the crash.
-                    let tenant = engine.tenant_of(server);
-                    for (key, _) in map.iter() {
-                        engine.note_dropped(tenant, EntryId::new(server, key));
-                    }
-                }
-                *map = MemoryMap::new();
-                if let Some(m) = self.managers.get(&node) {
-                    m.deregister_server(server);
-                    m.register_server(server, self.config.server.memory, self.config.server.donation);
+        let manager = self.node_manager(node);
+        for (&server, map) in maps.iter_mut().filter(|(server, _)| server.node() == node) {
+            purged += map.len();
+            // The map is cleared wholesale below, bypassing `remove`:
+            // release what would otherwise leak and credit residency entry
+            // by entry, so pool capacity and quota accounting survive the
+            // crash.
+            let who = self.tenancy(server);
+            for (key, record) in map.iter() {
+                let entry = EntryId::new(server, key);
+                Tier::release_purged(self, entry, &record.location);
+                if let Some(engine) = who.qos {
+                    engine.note_dropped(who.tenant, entry);
                 }
             }
+            *map = MemoryMap::new();
+            manager.deregister_server(server);
+            let (memory, donation) = (self.config.server.memory, self.config.server.donation);
+            manager.register_server(server, memory, donation);
         }
         Ok((lost_remote, purged))
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> DmStats {
-        let maps = self.maps.lock();
         let mut stats = DmStats::default();
-        for map in maps.values() {
-            let (s, n, r, c, d) = map.tier_census();
+        let mut census = [0; Tier::ALL.len()];
+        for map in self.maps.lock().values() {
             stats.entries += map.len();
-            stats.shared += s;
-            stats.nvm += n;
-            stats.remote += r;
-            stats.cxl += c;
-            stats.disk += d;
+            for (total, n) in census.iter_mut().zip(map.tier_census()) {
+                *total += n;
+            }
         }
-        for manager in self.managers.values() {
-            stats.shared_capacity += manager.capacity();
-        }
-        for &node in self.membership.nodes() {
-            stats.remote_free += self.membership.free_of(node);
-        }
+        [stats.shared, stats.cxl, stats.nvm, stats.remote, stats.disk] = census;
+        stats.shared_capacity = self.managers.values().map(|m| m.capacity()).sum();
+        let nodes = self.membership.nodes().iter();
+        stats.remote_free = nodes.map(|&node| self.membership.free_of(node)).sum();
         stats
     }
 }
@@ -1595,9 +1113,14 @@ mod tests {
         dm.put_pref(server, 1, vec![2u8; 256], TierPreference::Remote)
             .unwrap();
         let record = dm.record(server, 1).unwrap();
-        assert_eq!(record.version, 1, "fresh key after remove: version restarts");
+        assert_eq!(
+            record.version, 1,
+            "fresh key after remove: version restarts"
+        );
         assert!(record.location.is_remote());
-        assert!(!dm.disk_tier().contains(server.node(), EntryId::new(server, 1)));
+        assert!(!dm
+            .disk_tier()
+            .contains(server.node(), EntryId::new(server, 1)));
         assert_eq!(dm.get(server, 1).unwrap(), vec![2u8; 256]);
     }
 
@@ -1612,7 +1135,10 @@ mod tests {
             dm.get(server, 1),
             Err(DmemError::EntryNotFound(_))
         ));
-        assert!(matches!(dm.delete(server, 1), Err(DmemError::EntryNotFound(_))));
+        assert!(matches!(
+            dm.delete(server, 1),
+            Err(DmemError::EntryNotFound(_))
+        ));
     }
 
     #[test]
@@ -1681,8 +1207,7 @@ mod tests {
         config.compression = CompressionMode::Off;
         let dm = DisaggregatedMemory::new(config).unwrap();
         let server = dm.servers()[0];
-        let batch: Vec<(u64, Vec<u8>)> =
-            (0..16).map(|k| (k, vec![k as u8; 4096])).collect();
+        let batch: Vec<(u64, Vec<u8>)> = (0..16).map(|k| (k, vec![k as u8; 4096])).collect();
         let t0 = dm.clock().now();
         dm.put_batch(server, batch, TierPreference::Remote).unwrap();
         let batched_cost = dm.clock().now() - t0;
@@ -1808,6 +1333,115 @@ mod tests {
         assert_eq!(stats.disk, 1);
     }
 
+    #[test]
+    fn node_restart_releases_nvm_capacity() {
+        let mut config = ClusterConfig::small();
+        config.node.nvm_pool = ByteSize::from_kib(8);
+        config.compression = CompressionMode::Off;
+        let dm = DisaggregatedMemory::new(config).unwrap();
+        let server = dm.servers()[0];
+        for k in 1..=2u64 {
+            dm.put_pref(server, k, vec![k as u8; 4096], TierPreference::Nvm)
+                .unwrap();
+        }
+        assert_eq!(dm.nvm_used(server.node()), ByteSize::from_kib(8));
+        dm.handle_node_restart(server.node()).unwrap();
+        assert_eq!(dm.stats().entries, 0);
+        assert_eq!(
+            dm.nvm_used(server.node()),
+            ByteSize::new(0),
+            "purged entries free their NVM"
+        );
+        dm.put_pref(server, 3, vec![3u8; 4096], TierPreference::Nvm)
+            .unwrap();
+        assert!(dm.record(server, 3).unwrap().location.is_nvm());
+    }
+
+    /// `put_pref` and `put_batch` walk the same ladders: for every
+    /// preference, plus a full shared pool and a QoS-denied tenant, four
+    /// single puts and one batch of the same four pages land in the same
+    /// tier and bump the same per-tier counters. Remote is the one
+    /// intended difference: single puts count `core.put.remote`, the
+    /// batch one `core.put.remote_batched` per replica of its window.
+    #[test]
+    fn put_and_put_batch_land_alike() {
+        use dmem_qos::{QosConfig, QosEngine, TenantSpec};
+        #[derive(Clone, Copy)]
+        enum Setup {
+            AllTiers,
+            FullSharedPool,
+            QosDenied,
+        }
+        let build = |setup: Setup| {
+            let mut config = ClusterConfig::small();
+            config.compression = CompressionMode::Off;
+            config.node.nvm_pool = ByteSize::from_mib(1);
+            config.cxl = dmem_types::CxlPoolConfig::new(2, ByteSize::from_mib(1));
+            if let Setup::FullSharedPool = setup {
+                config.server.donation = dmem_types::DonationPolicy::fixed(0.0);
+            }
+            let dm = DisaggregatedMemory::new(config).unwrap();
+            if let Setup::QosDenied = setup {
+                let engine = Arc::new(QosEngine::new(QosConfig::default()));
+                dm.install_qos(Arc::clone(&engine));
+                let tenant =
+                    engine.register_tenant(TenantSpec::new("capped", 50, ByteSize::new(0)));
+                engine.assign_server(dm.servers()[0], tenant);
+            }
+            dm
+        };
+        let cases = [
+            (Setup::AllTiers, TierPreference::Auto, Tier::Shared),
+            (Setup::AllTiers, TierPreference::NodeShared, Tier::Shared),
+            (Setup::AllTiers, TierPreference::Cxl, Tier::Cxl),
+            (Setup::AllTiers, TierPreference::Nvm, Tier::Nvm),
+            (Setup::AllTiers, TierPreference::Remote, Tier::Remote),
+            (Setup::AllTiers, TierPreference::Disk, Tier::Disk),
+            (
+                Setup::FullSharedPool,
+                TierPreference::NodeShared,
+                Tier::Disk,
+            ),
+            (Setup::FullSharedPool, TierPreference::Auto, Tier::Cxl),
+            (Setup::QosDenied, TierPreference::Auto, Tier::Disk),
+            (Setup::QosDenied, TierPreference::Remote, Tier::Disk),
+        ];
+        for (setup, pref, expected) in cases {
+            let (single, batched) = (build(setup), build(setup));
+            let server = single.servers()[0];
+            let pages: Vec<(u64, Vec<u8>)> =
+                (0..4u64).map(|k| (k, vec![k as u8 + 1; 4096])).collect();
+            for (key, page) in pages.clone() {
+                single.put_pref(server, key, page, pref).unwrap();
+            }
+            batched.put_batch(server, pages.clone(), pref).unwrap();
+            for (key, page) in &pages {
+                let tiers = [&single, &batched]
+                    .map(|dm| Tier::of(&dm.record(server, *key).unwrap().location));
+                assert_eq!(tiers, [expected; 2], "{pref:?} key {key}");
+                assert_eq!(&batched.get(server, *key).unwrap(), page);
+            }
+            for counter in [
+                "core.put.shared",
+                "core.put.cxl",
+                "core.put.nvm",
+                "core.put.disk",
+            ] {
+                let counts = [&single, &batched].map(|dm| dm.metrics().counter(counter).get());
+                assert_eq!(counts[0], counts[1], "{pref:?}: {counter}");
+            }
+            let remote =
+                |dm: &DisaggregatedMemory, counter: &str| dm.metrics().counter(counter).get();
+            let is_remote = expected == Tier::Remote;
+            assert_eq!(
+                remote(&single, "core.put.remote"),
+                if is_remote { 4 } else { 0 }
+            );
+            assert_eq!(remote(&batched, "core.put.remote"), 0);
+            assert_eq!(remote(&batched, "core.put.remote_batched") > 0, is_remote);
+        }
+    }
+
     fn cxl_system(pool_nodes: usize, cap: ByteSize) -> DisaggregatedMemory {
         let mut config = ClusterConfig::small();
         config.cxl = dmem_types::CxlPoolConfig::new(pool_nodes, cap);
@@ -1838,7 +1472,9 @@ mod tests {
         }
         dm.delete(server, 1).unwrap();
         assert_eq!(pool.used_total(), ByteSize::from_kib(12));
-        assert!(!dm.disk_tier().contains(server.node(), EntryId::new(server, 1)));
+        assert!(!dm
+            .disk_tier()
+            .contains(server.node(), EntryId::new(server, 1)));
         let stats = dm.stats();
         assert_eq!(stats.cxl, 3, "stats {stats:?}");
         assert_eq!(stats.disk, 1);
@@ -1965,11 +1601,7 @@ mod tests {
         let engine = Arc::new(QosEngine::new(QosConfig::default()));
         dm.install_qos(Arc::clone(&engine));
         let server = dm.servers()[0];
-        let capped = engine.register_tenant(TenantSpec::new(
-            "capped",
-            50,
-            ByteSize::from_kib(4),
-        ));
+        let capped = engine.register_tenant(TenantSpec::new("capped", 50, ByteSize::from_kib(4)));
         engine.assign_server(server, capped);
         for k in 0..4u64 {
             dm.put(server, k, vec![k as u8; 4096]).unwrap();
@@ -2009,8 +1641,13 @@ mod tests {
         engine.assign_server(high_server, high);
         // The low-priority tenant fills the node's two-page shared pool.
         for k in 1..=2u64 {
-            dm.put_pref(low_server, k, vec![k as u8; 4096], TierPreference::NodeShared)
-                .unwrap();
+            dm.put_pref(
+                low_server,
+                k,
+                vec![k as u8; 4096],
+                TierPreference::NodeShared,
+            )
+            .unwrap();
             assert!(dm.record(low_server, k).unwrap().location.is_node_local());
         }
         // A high-priority put reclaims one of those pages instead of
